@@ -71,10 +71,10 @@ fn entry_json(label: &str, scale: Scale, report: &RunReport, arena: Json) -> Jso
 }
 
 /// This run's simulator-arena activity: checkout reuse/fresh deltas over
-/// the sweep, plus whether `SPT_ARENA` was on at all.
+/// the sweep. (Entries recorded while the arena could be switched off also
+/// carry a bool `enabled` key, which the schema no longer requires.)
 fn arena_summary(before: spt::sim::ArenaStats, after: spt::sim::ArenaStats) -> Json {
     Json::obj()
-        .with("enabled", spt::sim::arena_enabled())
         .with("reuse", after.reuse.saturating_sub(before.reuse))
         .with("fresh", after.fresh.saturating_sub(before.fresh))
 }
@@ -132,9 +132,6 @@ fn validate_entry(e: &Json) -> Result<(), String> {
         None => return Err("entry missing key \"arena\" (null for pre-arena entries)".into()),
         Some(Json::Null) => {}
         Some(a) => {
-            a.get("enabled")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| "arena missing bool key \"enabled\"".to_string())?;
             for k in ["reuse", "fresh"] {
                 a.get(k)
                     .and_then(Json::as_u64)
@@ -327,6 +324,44 @@ mod tests {
         let doc = Json::parse(&text).expect("parse BENCH_simperf.json");
         let n = validate_ledger(&doc).expect("committed ledger schema");
         assert!(n >= 1);
+    }
+
+    /// New entries' `arena` objects carry only the checkout deltas, and
+    /// the schema accepts them next to committed ones that also carry
+    /// `enabled`.
+    #[test]
+    fn arena_entries_validate_without_enabled_key() {
+        let before = spt::sim::ArenaStats::default();
+        let after = spt::sim::ArenaStats {
+            reuse: 5,
+            fresh: 2,
+            retained_bytes: 64,
+        };
+        let arena = arena_summary(before, after);
+        assert!(arena.get("enabled").is_none());
+        assert_eq!(arena.get("reuse").and_then(Json::as_u64), Some(5));
+        assert_eq!(arena.get("fresh").and_then(Json::as_u64), Some(2));
+
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simperf.json");
+        let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let Some(Json::Object(pairs)) = doc
+            .get("entries")
+            .and_then(Json::as_array)
+            .and_then(|es| es.last())
+            .cloned()
+        else {
+            panic!("committed ledger has an object entry");
+        };
+        let entry = Json::Object(
+            pairs
+                .into_iter()
+                .map(|(k, v)| {
+                    let v = if k == "arena" { arena.clone() } else { v };
+                    (k, v)
+                })
+                .collect(),
+        );
+        validate_entry(&entry).expect("arena without enabled validates");
     }
 
     /// Merging a new-schema entry into an old-schema ledger backfills

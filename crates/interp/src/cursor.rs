@@ -1274,6 +1274,39 @@ mod tests {
         a.clear_dirty_at(0);
         a.merge_frame_from(&b, 0, &[]);
         assert_eq!(a.dirty_words_at(0), &[0]);
+
+        // Reference: the snapshot → adopt → restore commit merge. For every
+        // kept set, blending the main thread into the committing cursor and
+        // then adopting it must leave the same registers, with dirty bits a
+        // subset of the reference's (which marks every restored register).
+        let mut main = Cursor::at_entry(&dec);
+        let mut spec = Cursor::at_entry(&dec);
+        let mut mem = Memory::for_program(&prog);
+        for _ in 0..8 {
+            main.step(&mut mem);
+        }
+        for _ in 0..16 {
+            spec.step(&mut mem);
+        }
+        let n_regs = main.regs_at(0).len();
+        for keep in 0..1u64 << n_regs {
+            let mut want = main.clone();
+            let snapshot = want.regs_at(0).to_vec();
+            want.adopt(&spec);
+            for (r, &v) in snapshot.iter().enumerate() {
+                if keep & (1 << r) == 0 {
+                    want.set_reg_at(0, r, v);
+                }
+            }
+            let mut committing = spec.clone();
+            committing.merge_frame_from(&main, 0, &[keep]);
+            let mut got = main.clone();
+            got.adopt(&committing);
+            assert_eq!(got.regs_at(0), want.regs_at(0), "keep={keep:#b}");
+            for (g, w) in got.dirty_words_at(0).iter().zip(want.dirty_words_at(0)) {
+                assert_eq!(g & !w, 0, "keep={keep:#b}: extra dirty bits");
+            }
+        }
     }
 
     #[test]

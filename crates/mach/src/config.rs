@@ -49,22 +49,6 @@ pub enum RegCheckPolicy {
     ValueBased,
 }
 
-/// Cursor register-file layout escape hatch (DESIGN.md §3h).
-///
-/// The arena-backed slab with dirty-word checking is the default and is
-/// bit-identical to the legacy semantics by construction; `Legacy` keeps
-/// the pre-slab check/merge code paths (full per-live-in compare,
-/// snapshot-adopt-restore commit) as a differential reference.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RegFileMode {
-    /// Slab layout with dirty-word-filtered value checks and in-place
-    /// commit merges.
-    Arena,
-    /// Full value compares and snapshot-based commit restores (the
-    /// original element-by-element paths, routed through accessors).
-    Legacy,
-}
-
 /// Full machine configuration. `MachineConfig::default()` is Table 1.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
@@ -96,15 +80,6 @@ pub struct MachineConfig {
     pub srb_entries: usize,
     pub recovery: RecoveryKind,
     pub reg_check: RegCheckPolicy,
-    /// Memoized basic-block superstepping in the interpreter hot path
-    /// (DESIGN.md §3f). Simulated results are bit-identical either way —
-    /// this only toggles the replay fast path and its hit-rate counters.
-    /// Defaults on; `SPT_SUPERSTEP=0` disables it process-wide.
-    pub superstep: bool,
-    /// Register-file check/merge paths (DESIGN.md §3h). Simulated results
-    /// are bit-identical either way. Defaults to the arena slab;
-    /// `SPT_REGFILE=legacy` selects the reference paths process-wide.
-    pub regfile: RegFileMode,
     // Functional-unit latencies.
     pub lat_alu: u64,
     pub lat_mul: u64,
@@ -153,11 +128,6 @@ impl Default for MachineConfig {
             srb_entries: 1024,
             recovery: RecoveryKind::SrxFc,
             reg_check: RegCheckPolicy::ValueBased,
-            superstep: std::env::var("SPT_SUPERSTEP").map_or(true, |v| v != "0"),
-            regfile: match std::env::var("SPT_REGFILE") {
-                Ok(v) if v == "legacy" => RegFileMode::Legacy,
-                _ => RegFileMode::Arena,
-            },
             lat_alu: 1,
             lat_mul: 4,
             lat_div: 12,
@@ -302,8 +272,6 @@ mod tests {
             "reg_check",
             "mem_latency",
             "issue_width",
-            "superstep",
-            "regfile",
         ] {
             assert!(dbg.contains(field), "Debug output missing {field}");
         }

@@ -42,7 +42,7 @@ use spt::sweep::debug_fingerprint;
 use spt::{run_experiment, DiskStore, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
 use spt_workloads::BENCHMARK_NAMES;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -60,6 +60,14 @@ pub use metrics::{ServeMetrics, SweepMetrics};
 /// How the listener polls for new connections while staying responsive
 /// to the stop flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// Longest request line the daemon reads, newline excluded. Every valid
+/// request is well under 1 KB; a longer line is answered with an error.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Bytes of an over-long line the daemon discards looking for its end
+/// before it gives up on the connection.
+const MAX_SKIP: usize = 16 * MAX_REQUEST_LINE;
 
 /// Configuration of one daemon instance.
 #[derive(Clone, Debug)]
@@ -607,12 +615,13 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
     let _guard = ConnGuard(&shared.metrics);
     let mut writer = write_half;
     let mut reader = BufReader::new(conn);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        let n = match (&mut reader).take(limit).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
-            Ok(n) => shared.metrics.add_bytes_read(n as u64),
+            Ok(n) => n,
             Err(e) => {
                 if matches!(
                     e.kind(),
@@ -622,12 +631,28 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
                 }
                 return; // timeout or broken pipe
             }
-        }
-        if line.trim().is_empty() {
+        };
+        shared.metrics.add_bytes_read(n as u64);
+        let too_long = n > MAX_REQUEST_LINE && !line.ends_with(b"\n");
+        // After an over-long line the connection carries on only if the
+        // line's end turns up within `MAX_SKIP` more bytes.
+        let resynced = !too_long || skip_line(&mut reader, shared);
+        if !too_long && line.trim_ascii().is_empty() {
             continue;
         }
         let t0 = Instant::now();
-        let (response, op, served) = handle_request(shared, line.trim());
+        let (response, op, served) = match std::str::from_utf8(&line) {
+            Ok(text) if !too_long => handle_request(shared, text.trim()),
+            _ => {
+                shared.requests.fetch_add(1, Ordering::Relaxed);
+                let msg = if too_long {
+                    format!("request line longer than {MAX_REQUEST_LINE} bytes")
+                } else {
+                    "request line is not UTF-8".to_string()
+                };
+                reject(shared, &msg)
+            }
+        };
         shared
             .metrics
             .response(op, served, t0.elapsed().as_micros() as u64);
@@ -637,14 +662,46 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
         if writer.write_all(body.as_bytes()).is_err() || writer.flush().is_err() {
             return;
         }
-        if shared.stop.load(Ordering::Relaxed) {
+        if !resynced || shared.stop.load(Ordering::Relaxed) {
             return;
         }
     }
 }
 
+/// Discard the rest of an over-long request line, reading at most
+/// [`MAX_SKIP`] bytes. True if the line ended within them.
+fn skip_line(reader: &mut impl BufRead, shared: &Shared) -> bool {
+    let mut left = MAX_SKIP;
+    while left > 0 {
+        let buf = match reader.fill_buf() {
+            Ok(b) if !b.is_empty() => b,
+            _ => return false,
+        };
+        let chunk = &buf[..buf.len().min(left)];
+        let (used, found) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (chunk.len(), false),
+        };
+        reader.consume(used);
+        shared.metrics.add_bytes_read(used as u64);
+        if found {
+            return true;
+        }
+        left -= used;
+    }
+    false
+}
+
 fn error_json(msg: &str) -> Json {
     Json::obj().with("ok", false).with("error", msg)
+}
+
+/// Count and answer a request that did not decode.
+fn reject(shared: &Shared, msg: &str) -> (Json, &'static str, &'static str) {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.request("invalid");
+    shared.metrics.error();
+    (error_json(msg), "invalid", "error")
 }
 
 /// The metric label for a request's op — a closed set regardless of
@@ -664,22 +721,12 @@ fn op_label(req: &Request) -> &'static str {
 /// Returns the response plus the `(op, served)` metric labels.
 fn handle_request(shared: &Arc<Shared>, line: &str) -> (Json, &'static str, &'static str) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
-    let req = match Json::parse(line).map_err(|e| format!("bad JSON: {e}")) {
-        Ok(doc) => match Request::from_json(&doc) {
-            Ok(r) => r,
-            Err(e) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.request("invalid");
-                shared.metrics.error();
-                return (error_json(&e), "invalid", "error");
-            }
-        },
-        Err(e) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.request("invalid");
-            shared.metrics.error();
-            return (error_json(&e), "invalid", "error");
-        }
+    let req = match Json::parse(line)
+        .map_err(|e| format!("bad JSON: {e}"))
+        .and_then(|doc| Request::from_json(&doc))
+    {
+        Ok(r) => r,
+        Err(e) => return reject(shared, &e),
     };
     let op = op_label(&req);
     shared.metrics.request(op);

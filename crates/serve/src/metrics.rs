@@ -346,16 +346,9 @@ mod tests {
         let fresh = scrape.get("spt_arena_fresh_total").unwrap().value;
         let reuse = scrape.get("spt_arena_reuse_total").unwrap().value;
         let retained = scrape.get("spt_arena_retained_bytes").unwrap().value;
-        if spt::sim::arena_enabled() {
-            assert!(fresh > 0.0, "first run must build fresh components");
-            assert!(reuse > 0.0, "second run must reuse retained components");
-            assert!(retained > 0.0, "warm arenas must report retained bytes");
-        } else {
-            // SPT_ARENA=off: nothing is retained and every checkout is
-            // fresh — the mirrors must reflect that, not invent reuse.
-            assert_eq!(reuse, 0.0);
-            assert_eq!(retained, 0.0);
-        }
+        assert!(fresh > 0.0, "first run must build fresh components");
+        assert!(reuse > 0.0, "second run must reuse retained components");
+        assert!(retained > 0.0, "warm arenas must report retained bytes");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use spt::{run_experiment, ExperimentOutput, ExperimentRequest, Json, RunConfig, Sweep, ToJson};
 use spt_serve::{client, ServeConfig, Server};
 use spt_workloads::Scale;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -84,6 +84,92 @@ fn ping_stats_and_refusals() {
             >= 5
     );
     assert_eq!(stats.payload.get("errors").and_then(Json::as_u64), Some(4));
+    server.shutdown();
+}
+
+/// Send `line` (plus newline) on an open connection and read one reply.
+fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &[u8]) -> Json {
+    stream.write_all(line).unwrap();
+    stream.write_all(b"\n").unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    Json::parse(reply.trim()).expect("reply is JSON")
+}
+
+fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+fn assert_refused(doc: &Json, needle: &str) {
+    assert_eq!(
+        doc.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{doc:?}"
+    );
+    let err = doc.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(err.contains(needle), "error {err:?} lacks {needle:?}");
+}
+
+#[test]
+fn nesting_bomb_is_refused_and_daemon_survives() {
+    let server = start(None);
+    let addr = server.addr().to_string();
+    // Deep enough to overflow a connection thread's stack through a
+    // recursive parser, short enough to pass the line-length limit.
+    let bomb = "[".repeat(spt_serve::MAX_REQUEST_LINE - 1);
+    let (mut stream, mut reader) = connect(&addr);
+    let doc = exchange(&mut stream, &mut reader, bomb.as_bytes());
+    assert_refused(&doc, "nesting");
+    // The same connection and a new one both still answer.
+    let pong = exchange(&mut stream, &mut reader, br#"{"op":"ping"}"#);
+    assert_eq!(pong.get("payload").and_then(Json::as_str), Some("pong"));
+    drop((stream, reader));
+    let pong = client::request(&addr, &Json::obj().with("op", "ping")).unwrap();
+    assert_eq!(pong.payload.as_str(), Some("pong"));
+    server.shutdown();
+}
+
+#[test]
+fn overlong_request_line_is_refused_and_daemon_survives() {
+    let server = start(None);
+    let addr = server.addr().to_string();
+    // 200 KB of `[` on one line: past the line limit, so it is refused
+    // unread and the connection resynchronises at the newline.
+    let (mut stream, mut reader) = connect(&addr);
+    let doc = exchange(&mut stream, &mut reader, "[".repeat(200_000).as_bytes());
+    assert_refused(&doc, "longer than");
+    let pong = exchange(&mut stream, &mut reader, br#"{"op":"ping"}"#);
+    assert_eq!(pong.get("payload").and_then(Json::as_str), Some("pong"));
+    // Bytes that are not UTF-8 are refused the same way.
+    let doc = exchange(&mut stream, &mut reader, b"{\"op\":\"\xff\"}");
+    assert_refused(&doc, "UTF-8");
+    drop((stream, reader));
+
+    // A line with no end in sight: the daemon gives up on that
+    // connection, and only that one.
+    let (mut stream, mut reader) = connect(&addr);
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..64 {
+            if stream.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    // The daemon answers (the reply may be lost to a reset, since the
+    // rest of the line goes unread) and closes the connection.
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    writer.join().unwrap();
+    let pong = client::request(&addr, &Json::obj().with("op", "ping")).unwrap();
+    assert_eq!(pong.payload.as_str(), Some("pong"));
+    let stats = client::request(&addr, &Json::obj().with("op", "stats")).unwrap();
+    assert_eq!(stats.payload.get("errors").and_then(Json::as_u64), Some(3));
     server.shutdown();
 }
 

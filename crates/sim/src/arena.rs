@@ -14,10 +14,9 @@
 //! observationally equal to fresh construction (epoch/generation bumps
 //! where the structure is stamped — `Ssb`, scoreboard, memo table —
 //! explicit clear+refill elsewhere; see each component's `reset` doc). A
-//! fresh arena's takes all construct fresh state, so `SPT_ARENA=off`
-//! (which routes every run through a brand-new arena) shares 100% of the
-//! code path with the default mode — the fallback's equivalence argument
-//! is the empty-arena case of the same functions.
+//! fresh arena's takes all construct fresh state through the same
+//! functions, which is what the reset-vs-fresh lockstep suite
+//! (`tests/arena_equiv.rs`) compares.
 
 use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, RegSet};
@@ -28,7 +27,6 @@ use spt_sir::Program;
 use spt_trace::Pipe;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Decoded programs retained per arena (the cores ∈ {2,4,8} runs of one
 /// benchmark plus a little slack for interleaved baseline items).
@@ -36,7 +34,7 @@ const DECODE_CACHE_CAP: usize = 4;
 
 /// Components handed out from a retained allocation (reset, not rebuilt).
 static ARENA_REUSE: AtomicU64 = AtomicU64::new(0);
-/// Components constructed fresh (empty arena, first run, or `SPT_ARENA=off`).
+/// Components constructed fresh (empty arena or first run).
 static ARENA_FRESH: AtomicU64 = AtomicU64::new(0);
 /// Approximate bytes currently retained across all live arenas.
 static ARENA_RETAINED_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -60,22 +58,6 @@ pub fn arena_stats() -> ArenaStats {
         fresh: ARENA_FRESH.load(Ordering::Relaxed),
         retained_bytes: ARENA_RETAINED_BYTES.load(Ordering::Relaxed),
     }
-}
-
-/// Whether cross-run arena reuse is on. `SPT_ARENA=off` (or `0`) routes
-/// every run through a brand-new arena instead of the thread-local one —
-/// same code, fresh allocations — as the runtime fallback. Read once per
-/// process; deliberately *not* part of `MachineConfig`, because the arena
-/// cannot affect results (only allocation traffic) and must not perturb
-/// memo keys.
-pub fn arena_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !matches!(
-            std::env::var("SPT_ARENA").as_deref(),
-            Ok("off") | Ok("0") | Ok("OFF")
-        )
-    })
 }
 
 thread_local! {

@@ -25,8 +25,7 @@ pub struct BaselineReport {
     pub ret: Option<i64>,
     pub steps: u64,
     pub out_of_fuel: bool,
-    /// Block-superstep memo hits/misses (0 when superstepping is off or
-    /// the run is traced; see `MachineConfig::superstep`).
+    /// Block-superstep memo hits/misses (0 when the run is traced).
     pub superstep_hits: u64,
     pub superstep_misses: u64,
 }
@@ -63,11 +62,8 @@ pub fn simulate_baseline_with_memory(
 }
 
 /// [`simulate_baseline`] with a trace sink: the single pipeline emits
-/// `StallTransition` events whenever its idle-cause changes class. Routes
-/// through the thread-local [`SimArena`] when `SPT_ARENA` is on (the
-/// default), or a brand-new arena per run when off — both execute
-/// [`baseline_core`], so the two modes share every instruction of the
-/// simulation path.
+/// `StallTransition` events whenever its idle-cause changes class. Runs on
+/// the thread-local [`SimArena`].
 pub fn simulate_baseline_traced(
     prog: &Program,
     cfg: &MachineConfig,
@@ -76,19 +72,7 @@ pub fn simulate_baseline_traced(
     sink: &mut dyn TraceSink,
 ) -> (BaselineReport, Memory) {
     let dec = DecodedProgram::new(prog);
-    if arena::arena_enabled() {
-        arena::with_thread_arena(|a| baseline_core(a, &dec, prog, cfg, annots, max_steps, sink))
-    } else {
-        baseline_core(
-            &mut SimArena::new(),
-            &dec,
-            prog,
-            cfg,
-            annots,
-            max_steps,
-            sink,
-        )
-    }
+    arena::with_thread_arena(|a| baseline_core(a, &dec, prog, cfg, annots, max_steps, sink))
 }
 
 /// [`simulate_baseline`] with an explicit arena, reusing a decoded program
@@ -132,8 +116,7 @@ fn baseline_core(
     // Superstepping is bit-identical by construction but bypassed on
     // traced runs so the trace layer sees the interpreter's native path.
     let traced = sink.enabled();
-    let mut memo =
-        (cfg.superstep && !traced).then(|| arena.take_memo(dec.n_flat_blocks() as usize));
+    let mut memo = (!traced).then(|| arena.take_memo(dec.n_flat_blocks() as usize));
     let mut steps = 0u64;
     while steps < max_steps {
         if let Some(memo) = memo.as_mut() {

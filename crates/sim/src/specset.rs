@@ -373,13 +373,20 @@ mod tests {
     fn dirty_value_check_matches_full_compare() {
         let now = [1i64, 9, 3, 8, 5];
         let live = [(0u32, 1i64), (1, 2), (3, 4), (4, 5)];
+        // The reference: compare every captured live-in, no mask.
+        let full: Vec<u32> = live
+            .iter()
+            .filter(|&&(r, fv)| fv != now[r as usize])
+            .map(|&(r, _)| r)
+            .collect();
+        assert_eq!(full, vec![1, 3]);
         // All-dirty mask ⇒ identical to the full per-live-in compare.
         let v = dirty_value_check(&[!0u64], &live, &now);
-        assert_eq!(v.iter().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(v.iter().collect::<Vec<_>>(), full);
         // A mask covering exactly the written registers (the cursor
         // invariant: changed ⊆ dirty) yields the same violation set.
         let v2 = dirty_value_check(&[0b01010], &live, &now);
-        assert_eq!(v2.iter().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(v2.iter().collect::<Vec<_>>(), full);
     }
 
     #[test]

@@ -48,9 +48,9 @@ use crate::recovery::policy_for;
 use crate::specset::{AddrList, AddrMembers, DepthRegSet, RegSet};
 use crate::ssb::{SpecMem, Ssb};
 use spt_interp::{Cursor, DecodedProgram, EvKind, Event, Memory};
-use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy, RegFileMode};
+use spt_mach::{CacheSim, CacheStats, MachineConfig, RegCheckPolicy};
 use spt_sir::{BlockId, FuncId, Op, Program, Reg};
-use spt_trace::{NullSink, Pipe, StderrSink, TraceEvent, TraceSink};
+use spt_trace::{NullSink, Pipe, TraceEvent, TraceSink};
 
 /// Result of an SPT run.
 
@@ -87,9 +87,8 @@ pub struct SptReport {
     pub ret: Option<i64>,
     pub steps: u64,
     pub out_of_fuel: bool,
-    /// Main-thread block-superstep memo hits/misses (0 when superstepping
-    /// is off or the run is traced; speculative cursors always bypass the
-    /// memo — see `MachineConfig::superstep`).
+    /// Main-thread block-superstep memo hits/misses (0 when the run is
+    /// traced; speculative cursors always bypass the memo).
     pub superstep_hits: u64,
     pub superstep_misses: u64,
 }
@@ -489,13 +488,7 @@ impl<'p> SptSim<'p> {
     /// image, so differential tests can compare the SPT machine's committed
     /// state against a sequential interpretation word for word.
     pub fn run_with_memory(&self, max_steps: u64) -> (SptReport, Memory) {
-        // `SPT_DEBUG` routes the same structured events the trace layer sees
-        // to stderr (successor of the old ad-hoc eprintln debugging).
-        if std::env::var_os("SPT_DEBUG").is_some() {
-            self.run_with_memory_traced(max_steps, &mut StderrSink)
-        } else {
-            self.run_with_memory_traced(max_steps, &mut NullSink)
-        }
+        self.run_with_memory_traced(max_steps, &mut NullSink)
     }
 
     /// Run with a trace sink receiving one event per observable speculation
@@ -504,39 +497,24 @@ impl<'p> SptSim<'p> {
         self.run_with_memory_traced(max_steps, sink).0
     }
 
-    /// [`SptSim::run_with_memory`] with an explicit trace sink. Routes
-    /// through the thread-local [`SimArena`] when `SPT_ARENA` is on (the
-    /// default), or a brand-new arena per run when off — both execute
-    /// [`SptSim::run_core`], so the two modes share every instruction of
-    /// the simulation path.
+    /// [`SptSim::run_with_memory`] with an explicit trace sink, run on the
+    /// thread-local [`SimArena`].
     pub fn run_with_memory_traced(
         &self,
         max_steps: u64,
         sink: &mut dyn TraceSink,
     ) -> (SptReport, Memory) {
-        if arena::arena_enabled() {
-            arena::with_thread_arena(|a| self.run_core(a, max_steps, sink))
-        } else {
-            self.run_core(&mut SimArena::new(), max_steps, sink)
-        }
+        arena::with_thread_arena(|a| self.run_core(a, max_steps, sink))
     }
 
     /// Run with an explicit arena, retiring every reusable component
     /// (including the final memory image) back into it. The sweep's
     /// per-worker hot path.
     pub fn run_in(&self, arena: &mut SimArena, max_steps: u64) -> SptReport {
-        let (report, mem) = if std::env::var_os("SPT_DEBUG").is_some() {
-            self.run_core(arena, max_steps, &mut StderrSink)
-        } else {
-            self.run_core(arena, max_steps, &mut NullSink)
-        };
-        arena.put_mem(mem);
-        report
+        self.run_traced_in(arena, max_steps, &mut NullSink)
     }
 
-    /// [`SptSim::run_in`] with an explicit trace sink, for tests that
-    /// compare the full event stream of warm-arena runs against fresh
-    /// construction byte for byte.
+    /// [`SptSim::run_in`] with an explicit trace sink.
     pub fn run_traced_in(
         &self,
         arena: &mut SimArena,
@@ -601,8 +579,8 @@ impl<'p> SptSim<'p> {
         // Superstepping: main-thread-only (speculative cursors bypass the
         // memo entirely), bypassed on traced runs so the trace layer sees
         // the interpreter's native path. Bit-identical by construction.
-        let mut memo = (cfg.superstep && !sink.enabled())
-            .then(|| arena.take_memo(self.dec.n_flat_blocks() as usize));
+        let mut memo =
+            (!sink.enabled()).then(|| arena.take_memo(self.dec.n_flat_blocks() as usize));
         let mut steps = 0u64;
         let mut forks = 0u64;
         let mut forks_ignored = 0u64;
@@ -1237,29 +1215,15 @@ impl<'p> SptSim<'p> {
         let violated_regs: RegSet = match cfg.reg_check {
             RegCheckPolicy::MarkBased => sp.live_in_reads.intersection(&sp.post_fork_writes),
             RegCheckPolicy::ValueBased => {
-                let now = main.regs_at(sp.fork_level);
-                match cfg.regfile {
-                    RegFileMode::Arena => {
-                        // The fork-level dirty mask was cleared at the
-                        // fork, so only registers in dirty words can hold
-                        // a value differing from the captured fork-time
-                        // one; a clean frame compares nothing.
-                        crate::specset::dirty_value_check(
-                            main.dirty_words_at(sp.fork_level),
-                            &sp.live_in_vals,
-                            now,
-                        )
-                    }
-                    RegFileMode::Legacy => {
-                        let mut v = RegSet::new();
-                        for &(r, fv) in &sp.live_in_vals {
-                            if fv != now[r as usize] {
-                                v.insert(r);
-                            }
-                        }
-                        v
-                    }
-                }
+                // The fork-level dirty mask was cleared at the fork, so
+                // only registers in dirty words can hold a value differing
+                // from the captured fork-time one; a clean frame compares
+                // nothing.
+                crate::specset::dirty_value_check(
+                    main.dirty_words_at(sp.fork_level),
+                    &sp.live_in_vals,
+                    main.regs_at(sp.fork_level),
+                )
             }
         };
         let violated = !violated_regs.is_empty() || !sp.violated_addrs.is_empty();
@@ -1293,30 +1257,14 @@ impl<'p> SptSim<'p> {
             // A committing cursor that ran through the outermost `ret` has
             // already popped the fork-level frame — adopt it wholesale and
             // skip the merge (there is no frame left to blend into).
-            match cfg.regfile {
-                RegFileMode::Arena => {
-                    // Blend main's values into the committing cursor first,
-                    // then adopt it wholesale — same result as the legacy
-                    // adopt-then-restore without the per-commit register
-                    // snapshot allocation.
-                    if sp.fork_level < sp.cursor.depth() {
-                        sp.cursor
-                            .merge_frame_from(main, sp.fork_level, sp.spec_written.words());
-                    }
-                    main.adopt(&sp.cursor);
-                }
-                RegFileMode::Legacy => {
-                    let main_regs = main.regs_at(sp.fork_level).to_vec();
-                    main.adopt(&sp.cursor);
-                    if sp.fork_level < main.depth() {
-                        for (r, v) in main_regs.iter().enumerate() {
-                            if !sp.spec_written.contains(r as u32) {
-                                main.set_reg_at(sp.fork_level, r, *v);
-                            }
-                        }
-                    }
-                }
+            // Blending main's values into the committing cursor first and
+            // then adopting it wholesale needs no per-commit register
+            // snapshot.
+            if sp.fork_level < sp.cursor.depth() {
+                sp.cursor
+                    .merge_frame_from(main, sp.fork_level, sp.spec_written.words());
             }
+            main.adopt(&sp.cursor);
             *fast_commits += 1;
             if let Some(li) = sp.loop_idx {
                 per_loop[li].fast_commits += 1;
@@ -2040,44 +1988,5 @@ mod tests {
             Some(40),
             "cross-thread memory dependence must be honored"
         );
-    }
-
-    #[test]
-    fn arena_and_legacy_regfile_bit_identical() {
-        // The slab layout with dirty-word checks and in-place merges must be
-        // indistinguishable from the legacy compare/snapshot-restore paths:
-        // same cycles, instructions, outcome counters, and return value on
-        // fast-commit-heavy, replay-heavy, and memory-violating loops at
-        // every ring width.
-        let cases: Vec<(&str, Program, LoopAnnotations)> = {
-            let (p1, a1) = parallel_loop(60, 8);
-            let (p2, a2) = serial_loop(50, 6);
-            let (p3, a3) = chained_store_loop();
-            vec![
-                ("parallel", p1, a1),
-                ("serial", p2, a2),
-                ("chained-store", p3, a3),
-            ]
-        };
-        for (name, prog, annots) in &cases {
-            for cores in [2usize, 4, 8] {
-                let mut arena = cfg_with_cores(cores);
-                arena.regfile = RegFileMode::Arena;
-                let mut legacy = cfg_with_cores(cores);
-                legacy.regfile = RegFileMode::Legacy;
-                let ra = SptSim::new(prog, arena, annots.clone()).run(FUEL);
-                let rl = SptSim::new(prog, legacy, annots.clone()).run(FUEL);
-                let ctx = format!("{name} @ {cores} cores");
-                assert_eq!(ra.ret, rl.ret, "{ctx}: ret");
-                assert_eq!(ra.cycles, rl.cycles, "{ctx}: cycles");
-                assert_eq!(ra.instrs, rl.instrs, "{ctx}: instrs");
-                assert_eq!(ra.steps, rl.steps, "{ctx}: steps");
-                assert_eq!(ra.forks, rl.forks, "{ctx}: forks");
-                assert_eq!(ra.fast_commits, rl.fast_commits, "{ctx}: fast commits");
-                assert_eq!(ra.replays, rl.replays, "{ctx}: replays");
-                assert_eq!(ra.kills, rl.kills, "{ctx}: kills");
-                assert_eq!(ra.spec_misspec, rl.spec_misspec, "{ctx}: misspec");
-            }
-        }
     }
 }

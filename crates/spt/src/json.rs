@@ -65,14 +65,15 @@ impl Json {
 
     /// Parse a JSON document. Strict enough for round-tripping what this
     /// module and `spt_trace::jsonl` emit (the trace schema validator and
-    /// golden tests read files back through this).
+    /// golden tests read files back through this). Nesting deeper than
+    /// [`MAX_DEPTH`] is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             s: text.as_bytes(),
             i: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.i != p.s.len() {
             return Err(format!("trailing bytes at offset {}", p.i));
@@ -135,6 +136,10 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Everything this
+/// crate emits stays within single digits.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
@@ -169,7 +174,16 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// One value inside `depth` open arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        // Each nesting level is one recursion; bound it so a hostile
+        // document returns an error instead of exhausting the stack.
+        if depth == MAX_DEPTH && matches!(self.s.get(self.i), Some(b'[' | b'{')) {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.i
+            ));
+        }
         match self.s.get(self.i) {
             None => Err("unexpected end of input".into()),
             Some(b'n') => self.lit("null", Json::Null),
@@ -186,7 +200,7 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.s.get(self.i) {
                         Some(b',') => self.i += 1,
@@ -212,7 +226,7 @@ impl Parser<'_> {
                     self.skip_ws();
                     self.eat(b':')?;
                     self.skip_ws();
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     pairs.push((k, v));
                     self.skip_ws();
                     match self.s.get(self.i) {
@@ -651,6 +665,24 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("3 4").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objs = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objs).unwrap_err().contains("nesting"));
+        // A nesting bomb far past the limit errors instead of overflowing
+        // the stack, unclosed or not.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&nested(200_000)).is_err());
     }
 
     #[test]

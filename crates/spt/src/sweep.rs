@@ -32,8 +32,7 @@ use spt_compiler::{compile_with_profile, CompileOptions, CompileResult};
 use spt_mach::MachineConfig;
 use spt_profile::{profile_program, ProgramProfile};
 use spt_sim::{
-    arena_enabled, simulate_baseline, simulate_baseline_in, with_thread_arena, BaselineReport,
-    LoopAnnotations, SptReport, SptSim,
+    simulate_baseline_in, with_thread_arena, BaselineReport, LoopAnnotations, SptReport, SptSim,
 };
 use spt_sir::Program;
 use std::collections::HashMap;
@@ -743,13 +742,9 @@ impl Sweep {
             // Worker threads keep one arena alive across sweep items, so
             // the cores ∈ {2,4,8} items of one benchmark share a decoded
             // program (keyed by the content fingerprint) and all per-run
-            // heap structures are reset, not rebuilt. `SPT_ARENA=off`
-            // falls back to fresh construction inside the same code path.
-            let r = if arena_enabled() {
-                with_thread_arena(|a| simulate_baseline_in(a, key.0, prog, machine, annots, fuel))
-            } else {
-                simulate_baseline(prog, machine, annots, fuel)
-            };
+            // heap structures are reset, not rebuilt.
+            let r =
+                with_thread_arena(|a| simulate_baseline_in(a, key.0, prog, machine, annots, fuel));
             if let Some(st) = &self.store {
                 st.save("baseline", key.mix(), &store::baseline_report_json(&r));
             }
@@ -785,16 +780,12 @@ impl Sweep {
             }
             // Same arena discipline as the baseline closure: decode reuse
             // keyed by content fingerprint, run state reset-not-rebuilt.
-            let r = if arena_enabled() {
-                with_thread_arena(|a| {
-                    let sim = SptSim::new_in(a, key.0, prog, machine.clone(), annots.clone());
-                    let rep = sim.run_in(a, fuel);
-                    a.put_decoded(key.0, sim.into_decoded());
-                    rep
-                })
-            } else {
-                SptSim::new(prog, machine.clone(), annots.clone()).run(fuel)
-            };
+            let r = with_thread_arena(|a| {
+                let sim = SptSim::new_in(a, key.0, prog, machine.clone(), annots.clone());
+                let rep = sim.run_in(a, fuel);
+                a.put_decoded(key.0, sim.into_decoded());
+                rep
+            });
             if let Some(st) = &self.store {
                 st.save("spt_sim", key.mix(), &store::spt_report_json(&r));
             }

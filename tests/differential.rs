@@ -10,11 +10,13 @@
 //! 2. the SPT fabric running the transformed program at N ∈ {2, 4, 8}
 //!    cores commits the same return value and final memory image
 //!    (speculative stores drain through the SRB, so any mis-commit shows
-//!    up here), and the N=2 machine is bit-deterministic: traced and
-//!    untraced runs agree on cycles and counters, and trace bytes are
-//!    stable across runs with no ring-fork events;
+//!    up here); at every width, untraced runs (block superstepping on) and
+//!    traced runs (superstepping bypassed) agree on cycles, counters and
+//!    committed memory; and the N=2 machine is bit-deterministic: trace
+//!    bytes are stable across runs with no ring-fork events;
 //! 3. the baseline single-core simulator running the original program also
-//!    matches (its timing model must not perturb architectural state).
+//!    matches (its timing model must not perturb architectural state), and
+//!    its untraced and traced runs agree the same way.
 //!
 //! Register state is summarized by the returned checksum: programs xor all
 //! live registers into the return value, so a silently-clobbered register
@@ -24,7 +26,7 @@ use proptest::prelude::*;
 use spt::{original_annotations, spt_annotations, CompileOptions, MachineConfig};
 use spt_compiler::compile;
 use spt_interp::{run_with, Cursor, DecodedProgram, MemoTable, Memory};
-use spt_sim::{simulate_baseline_with_memory, SptSim};
+use spt_sim::{simulate_baseline_traced, simulate_baseline_with_memory, SptSim};
 use spt_sir::{BinOp, Program, ProgramBuilder, Reg};
 
 const FUEL: u64 = 2_000_000;
@@ -260,19 +262,19 @@ fn check_differential(body: &[Stmt], trip: u8) {
     );
 
     // Stage 2: the SPT fabric on the transformed program, at every fabric
-    // width, with block superstepping both on and off. N=2 is the paper
-    // machine; wider rings must commit the same architectural state, and
-    // the superstep toggle must not change a single reported number.
+    // width. N=2 is the paper machine; wider rings must commit the same
+    // architectural state. Each width runs untraced (main-thread block
+    // supersteps through the memo) and traced (the memo is bypassed, so
+    // every step goes through the interpreter's native path): the two
+    // must agree on every reported number and on committed memory.
     let machine = MachineConfig::default();
     let annots = spt_annotations(&compiled);
+    let mut n2_trace = String::new();
     for cores in [2usize, 4, 8] {
-        let mut m_on = machine.clone();
-        m_on.cores = cores;
-        m_on.superstep = true;
-        let mut m_off = m_on.clone();
-        m_off.superstep = false;
-        let (spt_rep, spt_mem) =
-            SptSim::new(&compiled.program, m_on, annots.clone()).run_with_memory(FUEL);
+        let mut m = machine.clone();
+        m.cores = cores;
+        let sim = SptSim::new(&compiled.program, m, annots.clone());
+        let (spt_rep, spt_mem) = sim.run_with_memory(FUEL);
         assert!(
             !spt_rep.out_of_fuel,
             "SPT simulation must terminate (cores={cores}) [{ctx}]"
@@ -286,21 +288,21 @@ fn check_differential(body: &[Stmt], trip: u8) {
             ref_mem,
             "SPT-committed memory diverged (cores={cores}) [{ctx}]"
         );
-        let (off_rep, off_mem) =
-            SptSim::new(&compiled.program, m_off, annots.clone()).run_with_memory(FUEL);
+        let mut sink = spt_trace::RingBufferSink::unbounded();
+        let (tr_rep, tr_mem) = sim.run_with_memory_traced(FUEL, &mut sink);
         assert_eq!(
-            (off_rep.cycles, off_rep.instrs, off_rep.ret),
+            (tr_rep.cycles, tr_rep.instrs, tr_rep.ret),
             (spt_rep.cycles, spt_rep.instrs, spt_rep.ret),
-            "superstep toggle changed timing or result (cores={cores}) [{ctx}]"
+            "traced run changed timing or result (cores={cores}) [{ctx}]"
         );
         assert_eq!(
             (
-                off_rep.forks,
-                off_rep.fast_commits,
-                off_rep.replays,
-                off_rep.kills,
-                off_rep.divergence_kills,
-                off_rep.spec_misspec,
+                tr_rep.forks,
+                tr_rep.fast_commits,
+                tr_rep.replays,
+                tr_rep.kills,
+                tr_rep.divergence_kills,
+                tr_rep.spec_misspec,
             ),
             (
                 spt_rep.forks,
@@ -310,70 +312,43 @@ fn check_differential(body: &[Stmt], trip: u8) {
                 spt_rep.divergence_kills,
                 spt_rep.spec_misspec,
             ),
-            "superstep toggle changed speculation counters (cores={cores}) [{ctx}]"
+            "traced run changed speculation counters (cores={cores}) [{ctx}]"
         );
         assert_eq!(
-            words(&off_mem),
+            words(&tr_mem),
             words(&spt_mem),
-            "superstep toggle changed committed memory (cores={cores}) [{ctx}]"
+            "traced run changed committed memory (cores={cores}) [{ctx}]"
         );
         assert_eq!(
-            (off_rep.superstep_hits, off_rep.superstep_misses),
+            (tr_rep.superstep_hits, tr_rep.superstep_misses),
             (0, 0),
-            "superstep-off run must not touch the memo (cores={cores}) [{ctx}]"
+            "traced run must not touch the memo (cores={cores}) [{ctx}]"
         );
+        if cores == 2 {
+            n2_trace = sink.records().map(spt_trace::jsonl).collect();
+        }
     }
 
     // Stage 2b: the N=2 fabric is bit-identical to the default machine —
-    // same cycles, same counters, same trace bytes. (MachineConfig's
-    // default IS two cores, so this pins the fabric generalization to the
+    // same trace bytes on a second traced run. (MachineConfig's default
+    // IS two cores, so this pins the fabric generalization to the
     // dual-pipeline behaviour the goldens were recorded against.)
     let sim = SptSim::new(&compiled.program, machine.clone(), annots.clone());
-    let untraced = sim.run(FUEL);
-    let mut sink_a = spt_trace::RingBufferSink::unbounded();
-    let traced = sim.run_traced(FUEL, &mut sink_a);
+    let mut sink = spt_trace::RingBufferSink::unbounded();
+    let _ = sim.run_traced(FUEL, &mut sink);
+    let bytes: String = sink.records().map(spt_trace::jsonl).collect();
     assert_eq!(
-        traced.cycles, untraced.cycles,
-        "tracing perturbed timing [{ctx}]"
-    );
-    assert_eq!(traced.instrs, untraced.instrs, "[{ctx}]");
-    assert_eq!(traced.forks, untraced.forks, "[{ctx}]");
-    assert_eq!(traced.fast_commits, untraced.fast_commits, "[{ctx}]");
-    assert_eq!(traced.replays, untraced.replays, "[{ctx}]");
-    assert_eq!(traced.kills, untraced.kills, "[{ctx}]");
-    assert_eq!(
-        traced.divergence_kills, untraced.divergence_kills,
-        "[{ctx}]"
-    );
-    assert_eq!(traced.spec_misspec, untraced.spec_misspec, "[{ctx}]");
-    let mut sink_b = spt_trace::RingBufferSink::unbounded();
-    let _ = sim.run_traced(FUEL, &mut sink_b);
-    let bytes_a: String = sink_a.records().map(spt_trace::jsonl).collect();
-    let bytes_b: String = sink_b.records().map(spt_trace::jsonl).collect();
-    assert_eq!(
-        bytes_a, bytes_b,
+        bytes, n2_trace,
         "N=2 trace bytes must be deterministic [{ctx}]"
     );
     // No ring-fork events may ever appear on the two-core machine.
     assert!(
-        !bytes_a.contains("ring_fork"),
+        !bytes.contains("ring_fork"),
         "N=2 must never emit ring forks [{ctx}]"
     );
-    // Trace bytes — and thus any fold of them — are identical whether the
-    // superstep flag is up or down (traced runs bypass the memo entirely).
-    let mut m_off = machine.clone();
-    m_off.superstep = !machine.superstep;
-    let sim_off = SptSim::new(&compiled.program, m_off, annots.clone());
-    let mut sink_c = spt_trace::RingBufferSink::unbounded();
-    let _ = sim_off.run_traced(FUEL, &mut sink_c);
-    let bytes_c: String = sink_c.records().map(spt_trace::jsonl).collect();
-    assert_eq!(
-        bytes_a, bytes_c,
-        "superstep toggle changed trace bytes [{ctx}]"
-    );
 
-    // Stage 3: the baseline timing model on the original program, with the
-    // superstep toggle in both positions.
+    // Stage 3: the baseline timing model on the original program, untraced
+    // (memo on) and traced (memo bypassed).
     let base_annots = original_annotations(&prog, &compiled);
     let (base_rep, base_mem) = simulate_baseline_with_memory(&prog, &machine, &base_annots, FUEL);
     assert!(
@@ -389,23 +364,27 @@ fn check_differential(body: &[Stmt], trip: u8) {
         ref_mem,
         "baseline final memory diverged [{ctx}]"
     );
-    let mut m_off = machine.clone();
-    m_off.superstep = false;
-    let (off_rep, off_mem) = simulate_baseline_with_memory(&prog, &m_off, &base_annots, FUEL);
+    let mut sink = spt_trace::RingBufferSink::unbounded();
+    let (tr_rep, tr_mem) = simulate_baseline_traced(&prog, &machine, &base_annots, FUEL, &mut sink);
     assert_eq!(
-        (off_rep.cycles, off_rep.instrs, off_rep.ret),
+        (tr_rep.cycles, tr_rep.instrs, tr_rep.ret),
         (base_rep.cycles, base_rep.instrs, base_rep.ret),
-        "superstep toggle changed baseline timing or result [{ctx}]"
+        "traced run changed baseline timing or result [{ctx}]"
     );
     assert_eq!(
-        words(&off_mem),
+        (tr_rep.bp_mispredicts, tr_rep.bp_lookups, tr_rep.cache),
+        (base_rep.bp_mispredicts, base_rep.bp_lookups, base_rep.cache),
+        "traced run changed baseline counters [{ctx}]"
+    );
+    assert_eq!(
+        words(&tr_mem),
         words(&base_mem),
-        "superstep toggle changed baseline memory [{ctx}]"
+        "traced run changed baseline memory [{ctx}]"
     );
     assert_eq!(
-        (off_rep.superstep_hits, off_rep.superstep_misses),
+        (tr_rep.superstep_hits, tr_rep.superstep_misses),
         (0, 0),
-        "superstep-off baseline must not touch the memo [{ctx}]"
+        "traced baseline must not touch the memo [{ctx}]"
     );
 }
 
