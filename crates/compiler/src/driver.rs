@@ -163,17 +163,6 @@ pub fn compile(prog: &Program, opts: &CompileOptions) -> CompileResult {
     compile_with_profile(prog, opts, profile)
 }
 
-/// [`compile`] with a trace sink receiving the driver's selection events
-/// (`PartitionChosen`, `LoopSelected`, `LoopRejected`).
-pub fn compile_traced(
-    prog: &Program,
-    opts: &CompileOptions,
-    sink: &mut dyn TraceSink,
-) -> CompileResult {
-    let profile = profile_program(prog, opts.profile_fuel);
-    compile_with_profile_traced(prog, opts, profile, sink)
-}
-
 /// Run the two-pass compilation against an already-collected profile.
 ///
 /// `compile` is `compile_with_profile ∘ profile_program`; callers that
@@ -189,7 +178,9 @@ pub fn compile_with_profile(
     compile_with_profile_traced(prog, opts, profile, &mut NullSink)
 }
 
-/// [`compile_with_profile`] with an explicit trace sink.
+/// [`compile_with_profile`] with an explicit trace sink receiving the
+/// driver's selection events (`PartitionChosen`, `LoopSelected`,
+/// `LoopRejected`).
 pub fn compile_with_profile_traced(
     prog: &Program,
     opts: &CompileOptions,
@@ -632,7 +623,9 @@ mod tests {
     fn traced_compile_emits_selection_events() {
         let prog = two_loop_program();
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let res = compile_traced(&prog, &CompileOptions::default(), &mut sink);
+        let opts = CompileOptions::default();
+        let profile = profile_program(&prog, opts.profile_fuel);
+        let res = compile_with_profile_traced(&prog, &opts, profile, &mut sink);
         let recs: Vec<_> = sink.into_records();
         assert!(
             recs.iter().all(|r| r.cycle == 0),

@@ -269,20 +269,6 @@ impl DecodedProgram {
         self.entry
     }
 
-    /// Approximate retained heap bytes of the decoded form (arena
-    /// telemetry; not exact — counts the major pools only).
-    pub fn approx_bytes(&self) -> usize {
-        self.funcs
-            .iter()
-            .map(|f| {
-                f.code.len() * std::mem::size_of::<DecodedInst>()
-                    + f.blocks.len() * std::mem::size_of::<BlockInfo>()
-                    + f.pool.len() * std::mem::size_of::<Reg>()
-            })
-            .sum::<usize>()
-            + self.funcs.len() * std::mem::size_of::<DecodedFunc>()
-    }
-
     /// Largest per-function frame stride in the program (each function's
     /// `n_regs` rounded up to a power of two — see [`DecodedFunc::stride`]).
     /// Frames occupy per-function-sized chunks of the cursor slab; this is

@@ -4,11 +4,14 @@
 //! architectural [`Memory`], cursor register-file slabs ([`CursorParts`]),
 //! [`CacheSim`] level vectors, pipeline cores (scoreboard frame slots +
 //! predictor tables), the speculative-thread buffer pool ([`SpecBufs`]),
-//! the superstep [`MemoTable`], and a small LRU of [`DecodedProgram`]s —
-//! so a sweep worker can run many (program, config, fuel) items without
-//! reconstructing any of them. Components are *checked out* at run start
-//! (`take_*`) and returned at run end (`put_*`); every checkout either
-//! pops a retained component and resets it, or constructs a fresh one.
+//! and the superstep [`MemoTable`] — so a sweep worker can run many
+//! (program, config, fuel) items without reconstructing any of them.
+//! Components are *checked out* at run start (`take_*`) and returned at
+//! run end (`put_*`); every checkout either pops a retained component and
+//! resets it, or constructs a fresh one. The checkout protocol is private
+//! to this crate: callers see [`SimArena::new`] and the run entry points
+//! that take one (`SptSim::run_in`, `simulate_baseline_in`), or use the
+//! thread's own arena implicitly.
 //!
 //! **Bit-identical by construction:** each component's reset is
 //! observationally equal to fresh construction (epoch/generation bumps
@@ -21,16 +24,12 @@
 use crate::pipeline::PipelineCore;
 use crate::specset::{AddrList, AddrMembers, RegSet};
 use crate::ssb::Ssb;
-use spt_interp::{CursorParts, DecodedProgram, Event, MemoTable, Memory};
+use spt_interp::{CursorParts, Event, MemoTable, Memory};
 use spt_mach::{CacheSim, MachineConfig};
 use spt_sir::Program;
 use spt_trace::Pipe;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Decoded programs retained per arena (the cores ∈ {2,4,8} runs of one
-/// benchmark plus a little slack for interleaved baseline items).
-const DECODE_CACHE_CAP: usize = 4;
 
 /// Components handed out from a retained allocation (reset, not rebuilt).
 static ARENA_REUSE: AtomicU64 = AtomicU64::new(0);
@@ -67,7 +66,7 @@ thread_local! {
 /// Run `f` with this thread's long-lived arena. Re-entrant calls (an
 /// arena-routed run starting another inside `f`) fall back to an isolated
 /// temporary arena rather than aliasing the borrowed one.
-pub fn with_thread_arena<R>(f: impl FnOnce(&mut SimArena) -> R) -> R {
+pub(crate) fn with_thread_arena<R>(f: impl FnOnce(&mut SimArena) -> R) -> R {
     THREAD_ARENA.with(|a| match a.try_borrow_mut() {
         Ok(mut arena) => f(&mut arena),
         Err(_) => f(&mut SimArena::new()),
@@ -102,8 +101,6 @@ impl SpecBufs {
 /// Reusable simulator state for one worker thread (see module docs).
 #[derive(Default)]
 pub struct SimArena {
-    /// Decoded-program LRU, most recently used last.
-    dec: Vec<(u64, DecodedProgram)>,
     mem: Option<Memory>,
     cache: Option<CacheSim>,
     cores: Vec<PipelineCore>,
@@ -127,31 +124,9 @@ impl SimArena {
         ARENA_FRESH.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A decoded program previously [`SimArena::put_decoded`] under
-    /// fingerprint `fp`, if still cached.
-    pub fn take_decoded(&mut self, fp: u64) -> Option<DecodedProgram> {
-        if let Some(i) = self.dec.iter().position(|(k, _)| *k == fp) {
-            Self::reused();
-            Some(self.dec.remove(i).1)
-        } else {
-            Self::constructed();
-            None
-        }
-    }
-
-    /// Retain a decoded program under fingerprint `fp` (LRU, capacity
-    /// [`DECODE_CACHE_CAP`]).
-    pub fn put_decoded(&mut self, fp: u64, dec: DecodedProgram) {
-        self.dec.retain(|(k, _)| *k != fp);
-        if self.dec.len() >= DECODE_CACHE_CAP {
-            self.dec.remove(0);
-        }
-        self.dec.push((fp, dec));
-    }
-
     /// Architectural memory in exactly [`Memory::for_program`]`(prog)`
     /// state.
-    pub fn take_mem(&mut self, prog: &Program) -> Memory {
+    pub(crate) fn take_mem(&mut self, prog: &Program) -> Memory {
         match self.mem.take() {
             Some(mut m) => {
                 Self::reused();
@@ -165,12 +140,12 @@ impl SimArena {
         }
     }
 
-    pub fn put_mem(&mut self, mem: Memory) {
+    pub(crate) fn put_mem(&mut self, mem: Memory) {
         self.mem = Some(mem);
     }
 
     /// Cache hierarchy in exactly [`CacheSim::new`]`(cfg)` state.
-    pub fn take_cache(&mut self, cfg: &MachineConfig) -> CacheSim {
+    pub(crate) fn take_cache(&mut self, cfg: &MachineConfig) -> CacheSim {
         match self.cache.take() {
             Some(mut c) => {
                 Self::reused();
@@ -184,12 +159,12 @@ impl SimArena {
         }
     }
 
-    pub fn put_cache(&mut self, cache: CacheSim) {
+    pub(crate) fn put_cache(&mut self, cache: CacheSim) {
         self.cache = Some(cache);
     }
 
     /// Pipeline core in exactly [`PipelineCore::new`]`(cfg, pipe)` state.
-    pub fn take_core(&mut self, cfg: &MachineConfig, pipe: Pipe) -> PipelineCore {
+    pub(crate) fn take_core(&mut self, cfg: &MachineConfig, pipe: Pipe) -> PipelineCore {
         match self.cores.pop() {
             Some(mut c) => {
                 Self::reused();
@@ -203,13 +178,13 @@ impl SimArena {
         }
     }
 
-    pub fn put_core(&mut self, core: PipelineCore) {
+    pub(crate) fn put_core(&mut self, core: PipelineCore) {
         self.cores.push(core);
     }
 
     /// Cursor heap buffers (empty from the caller's perspective; the
     /// cursor constructors clear before refilling).
-    pub fn take_cursor_parts(&mut self) -> CursorParts {
+    pub(crate) fn take_cursor_parts(&mut self) -> CursorParts {
         match self.cursor_parts.pop() {
             Some(p) => {
                 Self::reused();
@@ -222,13 +197,13 @@ impl SimArena {
         }
     }
 
-    pub fn put_cursor_parts(&mut self, parts: CursorParts) {
+    pub(crate) fn put_cursor_parts(&mut self, parts: CursorParts) {
         self.cursor_parts.push(parts);
     }
 
     /// Superstep memo table observationally equal to
     /// [`MemoTable::new`]`(capacity)`.
-    pub fn take_memo(&mut self, capacity: usize) -> MemoTable {
+    pub(crate) fn take_memo(&mut self, capacity: usize) -> MemoTable {
         match self.memo.take() {
             Some(mut m) => {
                 Self::reused();
@@ -242,7 +217,7 @@ impl SimArena {
         }
     }
 
-    pub fn put_memo(&mut self, memo: MemoTable) {
+    pub(crate) fn put_memo(&mut self, memo: MemoTable) {
         self.memo = Some(memo);
     }
 
@@ -259,9 +234,6 @@ impl SimArena {
 
     fn approx_retained_bytes(&self) -> u64 {
         let mut b = 0usize;
-        for (_, d) in &self.dec {
-            b += d.approx_bytes();
-        }
         if let Some(m) = &self.mem {
             b += m.approx_bytes();
         }
@@ -285,7 +257,7 @@ impl SimArena {
 
     /// Re-publish this arena's retained-bytes estimate to the global gauge
     /// (called at run end, after put-backs).
-    pub fn publish_retained(&mut self) {
+    pub(crate) fn publish_retained(&mut self) {
         let now = self.approx_retained_bytes();
         let delta = now.wrapping_sub(self.published_bytes);
         ARENA_RETAINED_BYTES.fetch_add(delta, Ordering::Relaxed);
@@ -326,17 +298,6 @@ mod tests {
         // Shrinking program: retained memory must not leak old size or data.
         let m = a.take_mem(&p4);
         assert_eq!(m, Memory::for_program(&p4));
-    }
-
-    #[test]
-    fn decode_cache_lru_evicts_oldest() {
-        let p = tiny_prog(2);
-        let mut a = SimArena::new();
-        for fp in 0..=DECODE_CACHE_CAP as u64 {
-            a.put_decoded(fp, DecodedProgram::new(&p));
-        }
-        assert!(a.take_decoded(0).is_none(), "oldest entry evicted");
-        assert!(a.take_decoded(1).is_some());
     }
 
     #[test]

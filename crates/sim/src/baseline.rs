@@ -40,30 +40,24 @@ impl BaselineReport {
     }
 }
 
-/// Simulate the sequential program on one core.
+/// Simulate the sequential program on one core, on the thread's arena.
 pub fn simulate_baseline(
     prog: &Program,
     cfg: &MachineConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
 ) -> BaselineReport {
-    simulate_baseline_with_memory(prog, cfg, annots, max_steps).0
+    arena::with_thread_arena(|a| {
+        let (report, mem) = simulate_baseline_in(a, prog, cfg, annots, max_steps, &mut NullSink);
+        a.put_mem(mem);
+        report
+    })
 }
 
-/// Like [`simulate_baseline`], but also returns the final memory image for
-/// differential state comparison.
-pub fn simulate_baseline_with_memory(
-    prog: &Program,
-    cfg: &MachineConfig,
-    annots: &LoopAnnotations,
-    max_steps: u64,
-) -> (BaselineReport, Memory) {
-    simulate_baseline_traced(prog, cfg, annots, max_steps, &mut NullSink)
-}
-
-/// [`simulate_baseline`] with a trace sink: the single pipeline emits
-/// `StallTransition` events whenever its idle-cause changes class. Runs on
-/// the thread-local [`SimArena`].
+/// [`simulate_baseline`] with a trace sink (the single pipeline emits
+/// `StallTransition` events whenever its idle-cause changes class),
+/// returning the final memory image for differential state comparison.
+/// Runs on the thread's arena.
 pub fn simulate_baseline_traced(
     prog: &Program,
     cfg: &MachineConfig,
@@ -71,46 +65,25 @@ pub fn simulate_baseline_traced(
     max_steps: u64,
     sink: &mut dyn TraceSink,
 ) -> (BaselineReport, Memory) {
-    let dec = DecodedProgram::new(prog);
-    arena::with_thread_arena(|a| baseline_core(a, &dec, prog, cfg, annots, max_steps, sink))
+    arena::with_thread_arena(|a| simulate_baseline_in(a, prog, cfg, annots, max_steps, sink))
 }
 
-/// [`simulate_baseline`] with an explicit arena, reusing a decoded program
-/// the arena retained under fingerprint `fp` and retiring every component
-/// (decode included) back into it. The sweep's per-worker hot path.
+/// [`simulate_baseline_traced`] on an explicit arena: heap components are
+/// checked out of `arena` (reset-or-fresh) and retired back into it at the
+/// end; the final memory image is handed to the caller.
 pub fn simulate_baseline_in(
     arena: &mut SimArena,
-    fp: u64,
-    prog: &Program,
-    cfg: &MachineConfig,
-    annots: &LoopAnnotations,
-    max_steps: u64,
-) -> BaselineReport {
-    let dec = arena
-        .take_decoded(fp)
-        .unwrap_or_else(|| DecodedProgram::new(prog));
-    let (report, mem) = baseline_core(arena, &dec, prog, cfg, annots, max_steps, &mut NullSink);
-    arena.put_mem(mem);
-    arena.put_decoded(fp, dec);
-    report
-}
-
-/// The baseline simulation loop proper: heap components are checked out of
-/// `arena` (reset-or-fresh) and retired back at the end; the final memory
-/// image is returned to the caller.
-fn baseline_core(
-    arena: &mut SimArena,
-    dec: &DecodedProgram,
     prog: &Program,
     cfg: &MachineConfig,
     annots: &LoopAnnotations,
     max_steps: u64,
     sink: &mut dyn TraceSink,
 ) -> (BaselineReport, Memory) {
+    let dec = DecodedProgram::new(prog);
     let mut core = arena.take_core(cfg, Pipe::Main);
     let mut cache = arena.take_cache(cfg);
     let mut mem = arena.take_mem(prog);
-    let mut cur = Cursor::at_entry_in(dec, arena.take_cursor_parts());
+    let mut cur = Cursor::at_entry_in(&dec, arena.take_cursor_parts());
     let mut tracker = LoopCycleTracker::new(annots);
 
     // Superstepping is bit-identical by construction but bypassed on

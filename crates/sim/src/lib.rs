@@ -30,10 +30,9 @@ pub mod specset;
 pub mod spt;
 pub mod ssb;
 
-pub use arena::{arena_stats, with_thread_arena, ArenaStats, SimArena};
+pub use arena::{arena_stats, ArenaStats, SimArena};
 pub use baseline::{
-    simulate_baseline, simulate_baseline_in, simulate_baseline_traced,
-    simulate_baseline_with_memory, BaselineReport,
+    simulate_baseline, simulate_baseline_in, simulate_baseline_traced, BaselineReport,
 };
 pub use engine::{CycleBreakdown, Engine, StallBreakdown, StallKind};
 pub use metrics::{LoopAnnot, LoopAnnotations, LoopCycleTracker, PerCoreStats, PerLoopStats};

@@ -384,33 +384,6 @@ impl<'p> SptSim<'p> {
         }
     }
 
-    /// [`SptSim::new`] reusing a decoded program the arena retained under
-    /// fingerprint `fp` (the cores ∈ {2,4,8} runs of one benchmark share
-    /// one decode). Return the decode with [`SptSim::into_decoded`] +
-    /// [`SimArena::put_decoded`] when done.
-    pub fn new_in(
-        arena: &mut SimArena,
-        fp: u64,
-        prog: &'p Program,
-        cfg: MachineConfig,
-        annots: LoopAnnotations,
-    ) -> Self {
-        let dec = arena
-            .take_decoded(fp)
-            .unwrap_or_else(|| DecodedProgram::new(prog));
-        SptSim {
-            prog,
-            dec,
-            cfg,
-            annots,
-        }
-    }
-
-    /// Surrender the decoded program (for [`SimArena::put_decoded`]).
-    pub fn into_decoded(self) -> DecodedProgram {
-        self.dec
-    }
-
     /// Static position of the first thing executed in `block` of `func`.
     fn position_of(&self, func: FuncId, block: BlockId) -> EvKind {
         self.dec.position_of(func, block)
@@ -479,58 +452,29 @@ impl<'p> SptSim<'p> {
     }
 
     /// Run the program to completion (or until `max_steps` interpreter steps
-    /// across all pipelines).
+    /// across all pipelines) on the thread's arena.
     pub fn run(&self, max_steps: u64) -> SptReport {
-        self.run_with_memory(max_steps).0
+        arena::with_thread_arena(|a| {
+            let (report, mem) = self.run_in(a, max_steps, &mut NullSink);
+            a.put_mem(mem);
+            report
+        })
     }
 
-    /// Like [`SptSim::run`], but also returns the final architectural memory
-    /// image, so differential tests can compare the SPT machine's committed
-    /// state against a sequential interpretation word for word.
-    pub fn run_with_memory(&self, max_steps: u64) -> (SptReport, Memory) {
-        self.run_with_memory_traced(max_steps, &mut NullSink)
+    /// Run on the thread's arena with a trace sink receiving one event per
+    /// observable speculation action, returning the final architectural
+    /// memory image too, so differential tests can compare the SPT
+    /// machine's committed state against a sequential interpretation word
+    /// for word. With a disabled sink the report is exactly
+    /// [`SptSim::run`]'s.
+    pub fn run_traced(&self, max_steps: u64, sink: &mut dyn TraceSink) -> (SptReport, Memory) {
+        arena::with_thread_arena(|a| self.run_in(a, max_steps, sink))
     }
 
-    /// Run with a trace sink receiving one event per observable speculation
-    /// action. With a disabled sink this is exactly [`SptSim::run`].
-    pub fn run_traced(&self, max_steps: u64, sink: &mut dyn TraceSink) -> SptReport {
-        self.run_with_memory_traced(max_steps, sink).0
-    }
-
-    /// [`SptSim::run_with_memory`] with an explicit trace sink, run on the
-    /// thread-local [`SimArena`].
-    pub fn run_with_memory_traced(
-        &self,
-        max_steps: u64,
-        sink: &mut dyn TraceSink,
-    ) -> (SptReport, Memory) {
-        arena::with_thread_arena(|a| self.run_core(a, max_steps, sink))
-    }
-
-    /// Run with an explicit arena, retiring every reusable component
-    /// (including the final memory image) back into it. The sweep's
-    /// per-worker hot path.
-    pub fn run_in(&self, arena: &mut SimArena, max_steps: u64) -> SptReport {
-        self.run_traced_in(arena, max_steps, &mut NullSink)
-    }
-
-    /// [`SptSim::run_in`] with an explicit trace sink.
-    pub fn run_traced_in(
-        &self,
-        arena: &mut SimArena,
-        max_steps: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SptReport {
-        let (report, mem) = self.run_core(arena, max_steps, sink);
-        arena.put_mem(mem);
-        report
-    }
-
-    /// The simulation loop proper: check every heap component out of
-    /// `arena` (reset-or-fresh), run, retire the components back. The
-    /// returned memory is *not* retired — callers that don't need it use
-    /// [`SptSim::run_in`].
-    fn run_core(
+    /// The simulation loop proper, on an explicit arena: check every heap
+    /// component out of `arena` (reset-or-fresh), run, retire the
+    /// components back. The final memory image is handed to the caller.
+    pub fn run_in(
         &self,
         arena: &mut SimArena,
         max_steps: u64,
@@ -1048,8 +992,8 @@ impl<'p> SptSim<'p> {
             superstep_misses: memo.as_ref().map_or(0, |m| m.misses()),
         };
 
-        // Retire every reusable component into the arena (memory goes back
-        // via `run_in`; traced callers keep it).
+        // Retire every reusable component into the arena (the memory image
+        // goes to the caller; `run` retires it).
         for sp in spec.drain(..) {
             bufs.push(sp.into_bufs());
         }
@@ -1821,7 +1765,7 @@ mod tests {
             let sim = SptSim::new(&prog, MachineConfig::default(), annots);
             let rep = sim.run(FUEL);
             let mut sink = spt_trace::RingBufferSink::unbounded();
-            let rep_t = sim.run_traced(FUEL, &mut sink);
+            let (rep_t, _) = sim.run_traced(FUEL, &mut sink);
             // Tracing must not perturb timing or results.
             assert_eq!(rep.cycles, rep_t.cycles);
             assert_eq!(rep.instrs, rep_t.instrs);
@@ -1842,7 +1786,7 @@ mod tests {
         let (prog, annots) = serial_loop(40, 6);
         let sim = SptSim::new(&prog, MachineConfig::default(), annots);
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let rep = sim.run_traced(FUEL, &mut sink);
+        let (rep, _) = sim.run_traced(FUEL, &mut sink);
         assert!(rep.replays > 0);
         let fold = spt_trace::fold(sink.records());
         let l = &fold.per_loop[0];
@@ -1874,7 +1818,7 @@ mod tests {
         let (seq, seq_mem) = run(&prog, FUEL);
         for cores in [2usize, 3, 4, 8] {
             let sim = SptSim::new(&prog, cfg_with_cores(cores), annots.clone());
-            let (rep, mem) = sim.run_with_memory(FUEL);
+            let (rep, mem) = sim.run_traced(FUEL, &mut NullSink);
             assert!(!rep.out_of_fuel, "cores={cores}");
             assert_eq!(rep.ret, seq.ret, "cores={cores}");
             for a in 0..54 {
@@ -1921,7 +1865,7 @@ mod tests {
         let (prog, annots) = parallel_loop(80, 8);
         let sim = SptSim::new(&prog, cfg_with_cores(4), annots);
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let rep = sim.run_traced(FUEL, &mut sink);
+        let (rep, _) = sim.run_traced(FUEL, &mut sink);
         let ring_forks = sink
             .records()
             .filter(|r| matches!(r.ev, TraceEvent::RingFork { .. }))

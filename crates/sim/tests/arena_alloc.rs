@@ -2,14 +2,18 @@
 //! the same simulation must perform (near-)zero heap allocations — every
 //! buffer the run needs comes back out of the arena. The test swaps in a
 //! counting global allocator (scoped to this test binary) and compares the
-//! cold first run against the warm second run on the same arena.
+//! cold first run against the warm second run on the same arena, through
+//! both front doors: an explicit arena (`SptSim::run_in`) and the thread's
+//! own (`SptSim::run`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use spt_interp::Memory;
 use spt_mach::MachineConfig;
 use spt_sim::{LoopAnnot, LoopAnnotations, SimArena, SptSim};
 use spt_sir::{BinOp, BlockId, Program, ProgramBuilder};
+use spt_trace::NullSink;
 
 /// Counts allocation *events* (alloc + realloc) per thread. Thread-local
 /// so the harness's other threads can't perturb the measurement;
@@ -87,23 +91,37 @@ fn parallel_loop(n: i64, work: usize) -> (Program, LoopAnnotations) {
     (prog, annots)
 }
 
-/// Run the kernel cold then warm on one arena; return
+/// Which arena a run goes through.
+#[derive(Clone, Copy)]
+enum FrontDoor {
+    /// `SptSim::run_in` on an arena the test owns; the final memory image
+    /// is handed back (and dropped here), so the arena never retains one.
+    Explicit,
+    /// `SptSim::run` on the thread's arena, which retires the memory image.
+    Thread,
+}
+
+/// Run the kernel cold then warm through `door`; return
 /// (cold allocations, warm allocations).
-fn measure(iters: i64) -> (u64, u64) {
+fn measure(iters: i64, door: FrontDoor) -> (u64, u64) {
     let (prog, annots) = parallel_loop(iters, 6);
     let cfg = MachineConfig {
         cores: 4,
         ..MachineConfig::default()
     };
+    let sim = SptSim::new(&prog, cfg, annots);
     let mut arena = SimArena::new();
-    let sim = SptSim::new_in(&mut arena, 7, &prog, cfg, annots);
+    let mut run = || match door {
+        FrontDoor::Explicit => sim.run_in(&mut arena, 5_000_000, &mut NullSink).0,
+        FrontDoor::Thread => sim.run(5_000_000),
+    };
 
     let before_cold = alloc_events();
-    let cold = sim.run_in(&mut arena, 5_000_000);
+    let cold = run();
     let cold_allocs = alloc_events() - before_cold;
 
     let before_warm = alloc_events();
-    let warm = sim.run_in(&mut arena, 5_000_000);
+    let warm = run();
     let warm_allocs = alloc_events() - before_warm;
 
     // Same program, same config: the runs must agree exactly (the arena
@@ -115,13 +133,14 @@ fn measure(iters: i64) -> (u64, u64) {
 
 #[test]
 fn warm_arena_rerun_is_allocation_free_in_steady_state() {
-    let (cold_small, warm_small) = measure(64);
-    let (_, warm_big) = measure(1024);
+    let (cold_small, warm_small) = measure(64, FrontDoor::Explicit);
+    let (_, warm_big) = measure(1024, FrontDoor::Explicit);
 
     // The warm rerun lives off retained buffers: a small fixed number of
-    // allocations (the report's own output vectors plus per-run locals —
-    // those belong to the caller, not the arena), far below the cold run,
-    // and — the steady-state claim — independent of iteration count.
+    // allocations (the report's own output vectors, the memory image
+    // handed to the caller, plus per-run locals — those belong to the
+    // caller, not the arena), far below the cold run, and — the
+    // steady-state claim — independent of iteration count.
     assert!(
         warm_small <= 32,
         "warm rerun allocated {warm_small} times (cold: {cold_small})"
@@ -133,5 +152,23 @@ fn warm_arena_rerun_is_allocation_free_in_steady_state() {
     assert!(
         warm_big <= warm_small + 8,
         "warm allocations grow with iteration count: {warm_small} @64 vs {warm_big} @1024"
+    );
+
+    // The thread arena (cold so far: each test runs on its own thread)
+    // must warm up just as well. `run` retires the memory image and resets
+    // it next time, where the explicit arena builds a fresh image for
+    // every `run_in`; apart from that one image the warm runs allocate
+    // exactly alike.
+    let (_, warm_thread) = measure(64, FrontDoor::Thread);
+    let (prog, _) = parallel_loop(64, 6);
+    let before = alloc_events();
+    let image = Memory::for_program(&prog);
+    let image_allocs = alloc_events() - before;
+    drop(image);
+    assert_eq!(
+        warm_thread + image_allocs,
+        warm_small,
+        "warm thread-arena run allocated {warm_thread} times; warm explicit-arena \
+         run {warm_small} times, {image_allocs} of them for the memory image"
     );
 }

@@ -1,15 +1,23 @@
 //! Reset-vs-fresh lockstep: every run through a *warm* [`SimArena`] must be
 //! observationally identical to the same run through a brand-new arena —
-//! same report, same trace bytes. The warm path exercises every `reset`
-//! method (memory, caches, predictor, scoreboard, cursor slab, SSB, memo,
-//! spec-state pool); the fresh path is the trivially-correct construction
-//! they all claim equivalence with.
+//! same report, same trace bytes, same final memory. Both front doors are
+//! warmed: an explicit arena the test owns (traced, so trace bytes are
+//! compared; its memory image goes to the caller) and the thread's own
+//! arena behind the untraced `SptSim::run` / `simulate_baseline` (which
+//! retires the memory image, so the memory reset and the superstep memo
+//! are exercised too). Together they cover every `reset` method (memory,
+//! caches, predictor, scoreboard, cursor slab, SSB, memo, spec-state
+//! pool); the fresh path is the trivially-correct construction they all
+//! claim equivalence with.
 
 use proptest::prelude::*;
+use spt_interp::Memory;
 use spt_mach::MachineConfig;
-use spt_sim::{simulate_baseline_in, LoopAnnot, LoopAnnotations, SimArena, SptSim};
+use spt_sim::{
+    simulate_baseline, simulate_baseline_in, LoopAnnot, LoopAnnotations, SimArena, SptSim,
+};
 use spt_sir::{BinOp, BlockId, Program, ProgramBuilder};
-use spt_trace::StreamSink;
+use spt_trace::{NullSink, StreamSink};
 
 const FUEL: u64 = 5_000_000;
 
@@ -187,45 +195,78 @@ fn cfg(cores: usize) -> MachineConfig {
 }
 
 /// Run one SPT item through `arena` and return (report debug string,
-/// trace bytes). The Debug string covers every report field, so equality
-/// on it is equality on the whole report.
+/// trace bytes, final memory). The Debug string covers every report field,
+/// so equality on it is equality on the whole report.
 fn spt_run(
     arena: &mut SimArena,
-    fp: u64,
     prog: &Program,
     annots: &LoopAnnotations,
     cores: usize,
-) -> (String, Vec<u8>) {
-    let sim = SptSim::new_in(arena, fp, prog, cfg(cores), annots.clone());
+) -> (String, Vec<u8>, Memory) {
+    let sim = SptSim::new(prog, cfg(cores), annots.clone());
     let mut sink = StreamSink::new(Vec::new());
-    let rep = sim.run_traced_in(arena, FUEL, &mut sink);
-    arena.put_decoded(fp, sim.into_decoded());
-    (format!("{rep:?}"), sink.into_inner())
+    let (rep, mem) = sim.run_in(arena, FUEL, &mut sink);
+    (format!("{rep:?}"), sink.into_inner(), mem)
 }
 
-fn baseline_run(arena: &mut SimArena, fp: u64, prog: &Program, annots: &LoopAnnotations) -> String {
-    let rep = simulate_baseline_in(arena, fp, prog, &cfg(1), annots, FUEL);
+/// One untraced SPT item through a brand-new arena (superstep memo on), for
+/// comparison with the thread arena's `SptSim::run`.
+fn spt_run_untraced_fresh(prog: &Program, annots: &LoopAnnotations, cores: usize) -> String {
+    let sim = SptSim::new(prog, cfg(cores), annots.clone());
+    let (rep, _) = sim.run_in(&mut SimArena::new(), FUEL, &mut NullSink);
     format!("{rep:?}")
 }
 
-/// Drive `items` through one warm arena and, in lockstep, each item
-/// through its own fresh arena; every pair must match exactly.
+fn baseline_run(
+    arena: &mut SimArena,
+    prog: &Program,
+    annots: &LoopAnnotations,
+) -> (String, Memory) {
+    let (rep, mem) = simulate_baseline_in(arena, prog, &cfg(1), annots, FUEL, &mut NullSink);
+    (format!("{rep:?}"), mem)
+}
+
+/// Drive `items` through one warm explicit arena and the warm thread arena
+/// and, in lockstep, each item through its own fresh arena; every pair must
+/// match exactly. The `u64` labels items in failure messages.
 fn assert_lockstep(items: &[(u64, Program, LoopAnnotations, usize)]) {
     let mut warm = SimArena::new();
-    for (fp, prog, annots, cores) in items {
-        let (fresh_rep, fresh_trace) = spt_run(&mut SimArena::new(), *fp, prog, annots, *cores);
-        let (warm_rep, warm_trace) = spt_run(&mut warm, *fp, prog, annots, *cores);
-        assert_eq!(warm_rep, fresh_rep, "SPT report diverged on fp={fp}");
-        assert_eq!(warm_trace, fresh_trace, "trace bytes diverged on fp={fp}");
+    for (id, prog, annots, cores) in items {
+        let (fresh_rep, fresh_trace, fresh_mem) =
+            spt_run(&mut SimArena::new(), prog, annots, *cores);
+        let (warm_rep, warm_trace, warm_mem) = spt_run(&mut warm, prog, annots, *cores);
+        assert_eq!(warm_rep, fresh_rep, "SPT report diverged on item {id}");
+        assert_eq!(warm_trace, fresh_trace, "trace bytes diverged on item {id}");
+        assert_eq!(warm_mem, fresh_mem, "SPT memory diverged on item {id}");
 
-        let fresh_base = baseline_run(&mut SimArena::new(), *fp, prog, annots);
-        let warm_base = baseline_run(&mut warm, *fp, prog, annots);
-        assert_eq!(warm_base, fresh_base, "baseline report diverged on fp={fp}");
+        let thread_rep = SptSim::new(prog, cfg(*cores), annots.clone()).run(FUEL);
+        assert_eq!(
+            format!("{thread_rep:?}"),
+            spt_run_untraced_fresh(prog, annots, *cores),
+            "thread-arena SPT report diverged on item {id}"
+        );
+
+        let (fresh_base, fresh_base_mem) = baseline_run(&mut SimArena::new(), prog, annots);
+        let (warm_base, warm_base_mem) = baseline_run(&mut warm, prog, annots);
+        assert_eq!(
+            warm_base, fresh_base,
+            "baseline report diverged on item {id}"
+        );
+        assert_eq!(
+            warm_base_mem, fresh_base_mem,
+            "baseline memory diverged on item {id}"
+        );
+        let thread_base = simulate_baseline(prog, &cfg(1), annots, FUEL);
+        assert_eq!(
+            format!("{thread_base:?}"),
+            fresh_base,
+            "thread-arena baseline report diverged on item {id}"
+        );
     }
 }
 
 /// Pinned: a later item with *more functions* than anything the arena has
-/// seen must not inherit stale decode or frame state.
+/// seen must not inherit stale frame state.
 #[test]
 fn warm_arena_handles_program_with_more_functions() {
     let (small, sa) = parallel_loop(24, 4);
@@ -264,7 +305,7 @@ fn warm_arena_handles_deeper_scoreboard_and_replay_use() {
 }
 
 /// Pinned: the sweep's actual access pattern — one program swept over the
-/// core counts of the paper's scaling figure, decode reused across runs.
+/// core counts of the paper's scaling figure.
 #[test]
 fn warm_arena_core_sweep_matches_fresh() {
     let (prog, annots) = chained_store_loop(32);

@@ -25,12 +25,12 @@
 //!   truncation or corruption inside an otherwise-parseable envelope is
 //!   still detected.
 //!
-//! **Robustness contract:** a missing, truncated, unparseable,
-//! version-mismatched, or checksum-failing entry is a *miss* — never a
-//! panic, never a partial result — and the next [`DiskStore::save`] for
-//! that key simply overwrites it. Writes go through a temp file plus
-//! rename so concurrent readers of the same directory only ever observe
-//! complete entries.
+//! **Robustness contract:** a missing, oversized ([`MAX_ENTRY_BYTES`]),
+//! truncated, unparseable, version-mismatched, or checksum-failing entry
+//! is a *miss* — never a panic, never a partial result — and the next
+//! [`DiskStore::save`] for that key simply overwrites it. Writes go through
+//! a temp file plus rename so concurrent readers of the same directory
+//! only ever observe complete entries.
 //!
 //! The store is deliberately value-agnostic: it stores [`Json`] payloads.
 //! Complete round-trip encoders for the two expensive phase results
@@ -39,6 +39,7 @@
 
 use crate::json::Json;
 use spt_sim::{BaselineReport, CycleBreakdown, PerCoreStats, PerLoopStats, SptReport};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,6 +48,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// v2: report payloads gained `superstep_hits` / `superstep_misses`.
 pub const STORE_SCHEMA: u32 = 2;
+
+/// Largest entry file [`DiskStore::load`] reads; a bigger file is a reject
+/// and is never read into memory. A store warmed by every experiment at
+/// `--scale full` holds no entry over 35,215 bytes (the `spt_explain`
+/// response; reports stay under 2.2 KB), so this leaves about 30x
+/// headroom.
+pub const MAX_ENTRY_BYTES: u64 = 1 << 20;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -134,21 +142,28 @@ impl DiskStore {
     }
 
     /// Look up the payload stored for `(kind, key)`. Any defect in the
-    /// entry — missing file, unparseable JSON, wrong schema version, wrong
-    /// kind or key, failed checksum — reads as `None`.
+    /// entry — missing file, a file over [`MAX_ENTRY_BYTES`], unparseable
+    /// JSON, wrong schema version, wrong kind or key, failed checksum —
+    /// reads as `None`.
     pub fn load(&self, kind: &str, key: u64) -> Option<Json> {
         let path = self.entry_path(kind, key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let Ok(file) = std::fs::File::open(&path) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
-        // The entry exists: from here on, any defect — non-UTF-8 bytes
-        // included — is a reject, not a plain miss.
-        match String::from_utf8(bytes)
-            .ok()
+        // The entry exists: from here on, any defect — an oversized file
+        // or non-UTF-8 bytes included — is a reject, not a plain miss. The
+        // length is checked before reading, and the read is capped too in
+        // case the file grows in between.
+        let mut bytes = Vec::new();
+        let within_limit = file.metadata().is_ok_and(|m| m.len() <= MAX_ENTRY_BYTES)
+            && file
+                .take(MAX_ENTRY_BYTES + 1)
+                .read_to_end(&mut bytes)
+                .is_ok_and(|n| n as u64 <= MAX_ENTRY_BYTES);
+        match within_limit
+            .then_some(bytes)
+            .and_then(|b| String::from_utf8(b).ok())
             .and_then(|text| Self::decode_entry(&text, kind, key))
         {
             Some(payload) => {
@@ -533,6 +548,25 @@ mod tests {
         // Saving over a corrupt entry heals it.
         store.save("baseline", 1, &sample_payload());
         assert_eq!(store.load("baseline", 1), Some(sample_payload()));
+    }
+
+    #[test]
+    fn oversized_entry_reads_as_reject_and_is_overwritten() {
+        let store = DiskStore::open(tmp_dir("oversized")).unwrap();
+        store.save("spt_sim", 3, &sample_payload());
+        let path = store.entry_path("spt_sim", 3);
+        // A well-formed envelope padded past the limit is still refused:
+        // the length alone decides, before any byte is read.
+        let mut planted = std::fs::read(&path).unwrap();
+        planted.resize(MAX_ENTRY_BYTES as usize + 1, b' ');
+        std::fs::write(&path, &planted).unwrap();
+        assert_eq!(store.load("spt_sim", 3), None);
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.rejects), (0, 1, 1));
+
+        store.save("spt_sim", 3, &sample_payload());
+        assert!(std::fs::metadata(&path).unwrap().len() < MAX_ENTRY_BYTES);
+        assert_eq!(store.load("spt_sim", 3), Some(sample_payload()));
     }
 
     #[test]

@@ -31,9 +31,7 @@ use crate::store::{self, DiskStore};
 use spt_compiler::{compile_with_profile, CompileOptions, CompileResult};
 use spt_mach::MachineConfig;
 use spt_profile::{profile_program, ProgramProfile};
-use spt_sim::{
-    simulate_baseline_in, with_thread_arena, BaselineReport, LoopAnnotations, SptReport, SptSim,
-};
+use spt_sim::{simulate_baseline, BaselineReport, LoopAnnotations, SptReport, SptSim};
 use spt_sir::Program;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -739,12 +737,7 @@ impl Sweep {
                     return (r, true);
                 }
             }
-            // Worker threads keep one arena alive across sweep items, so
-            // the cores ∈ {2,4,8} items of one benchmark share a decoded
-            // program (keyed by the content fingerprint) and all per-run
-            // heap structures are reset, not rebuilt.
-            let r =
-                with_thread_arena(|a| simulate_baseline_in(a, key.0, prog, machine, annots, fuel));
+            let r = simulate_baseline(prog, machine, annots, fuel);
             if let Some(st) = &self.store {
                 st.save("baseline", key.mix(), &store::baseline_report_json(&r));
             }
@@ -778,14 +771,7 @@ impl Sweep {
                     return (r, true);
                 }
             }
-            // Same arena discipline as the baseline closure: decode reuse
-            // keyed by content fingerprint, run state reset-not-rebuilt.
-            let r = with_thread_arena(|a| {
-                let sim = SptSim::new_in(a, key.0, prog, machine.clone(), annots.clone());
-                let rep = sim.run_in(a, fuel);
-                a.put_decoded(key.0, sim.into_decoded());
-                rep
-            });
+            let r = SptSim::new(prog, machine.clone(), annots.clone()).run(fuel);
             if let Some(st) = &self.store {
                 st.save("spt_sim", key.mix(), &store::spt_report_json(&r));
             }

@@ -562,7 +562,7 @@ impl Sweep {
         let annots = spt_annotations(&compiled);
         let mut ssink = RingBufferSink::unbounded();
         let t = Instant::now();
-        let spt = SptSim::new(&compiled.program, cfg.machine.clone(), annots)
+        let (spt, _mem) = SptSim::new(&compiled.program, cfg.machine.clone(), annots)
             .run_traced(cfg.fuel, &mut ssink);
         let spt_ms = t.elapsed().as_secs_f64() * 1e3;
 

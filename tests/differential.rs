@@ -26,8 +26,9 @@ use proptest::prelude::*;
 use spt::{original_annotations, spt_annotations, CompileOptions, MachineConfig};
 use spt_compiler::compile;
 use spt_interp::{run_with, Cursor, DecodedProgram, MemoTable, Memory};
-use spt_sim::{simulate_baseline_traced, simulate_baseline_with_memory, SptSim};
+use spt_sim::{simulate_baseline_traced, SptSim};
 use spt_sir::{BinOp, Program, ProgramBuilder, Reg};
+use spt_trace::NullSink;
 
 const FUEL: u64 = 2_000_000;
 const N_REGS: u32 = 5;
@@ -274,7 +275,7 @@ fn check_differential(body: &[Stmt], trip: u8) {
         let mut m = machine.clone();
         m.cores = cores;
         let sim = SptSim::new(&compiled.program, m, annots.clone());
-        let (spt_rep, spt_mem) = sim.run_with_memory(FUEL);
+        let (spt_rep, spt_mem) = sim.run_traced(FUEL, &mut NullSink);
         assert!(
             !spt_rep.out_of_fuel,
             "SPT simulation must terminate (cores={cores}) [{ctx}]"
@@ -289,7 +290,7 @@ fn check_differential(body: &[Stmt], trip: u8) {
             "SPT-committed memory diverged (cores={cores}) [{ctx}]"
         );
         let mut sink = spt_trace::RingBufferSink::unbounded();
-        let (tr_rep, tr_mem) = sim.run_with_memory_traced(FUEL, &mut sink);
+        let (tr_rep, tr_mem) = sim.run_traced(FUEL, &mut sink);
         assert_eq!(
             (tr_rep.cycles, tr_rep.instrs, tr_rep.ret),
             (spt_rep.cycles, spt_rep.instrs, spt_rep.ret),
@@ -350,7 +351,8 @@ fn check_differential(body: &[Stmt], trip: u8) {
     // Stage 3: the baseline timing model on the original program, untraced
     // (memo on) and traced (memo bypassed).
     let base_annots = original_annotations(&prog, &compiled);
-    let (base_rep, base_mem) = simulate_baseline_with_memory(&prog, &machine, &base_annots, FUEL);
+    let (base_rep, base_mem) =
+        simulate_baseline_traced(&prog, &machine, &base_annots, FUEL, &mut NullSink);
     assert!(
         !base_rep.out_of_fuel,
         "baseline simulation must terminate [{ctx}]"
