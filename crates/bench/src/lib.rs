@@ -71,44 +71,37 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Strictly parse argv against an allowlist. `valued` flags consume
-    /// the next argument; `boolean` flags stand alone.
-    pub fn parse(valued: &[&str], boolean: &[&str]) -> Flags {
-        Self::parse_from(std::env::args().skip(1).collect(), valued, boolean)
+    /// Strictly parse argv against an allowlist of flags, each of which
+    /// consumes the next argument as its value.
+    pub fn parse(valued: &[&str]) -> Flags {
+        Self::parse_from(std::env::args().skip(1).collect(), valued)
     }
 
-    fn parse_from(args: Vec<String>, valued: &[&str], boolean: &[&str]) -> Flags {
+    fn parse_from(args: Vec<String>, valued: &[&str]) -> Flags {
         let mut seen = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if boolean.contains(&flag) {
-                seen.push((flag.to_string(), "true".to_string()));
-            } else if valued.contains(&flag) {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("flag {flag} needs a value");
-                    exit(2);
-                };
-                seen.push((flag.to_string(), v.clone()));
-                i += 1;
-            } else {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            if !valued.contains(&flag.as_str()) {
                 eprintln!(
                     "unknown flag {flag:?}; known: {}",
                     valued
                         .iter()
                         .map(|f| format!("{f} VALUE"))
-                        .chain(boolean.iter().map(|f| (*f).to_string()))
                         .collect::<Vec<_>>()
                         .join(", ")
                 );
                 exit(2);
             }
-            i += 1;
+            let Some(v) = args.next() else {
+                eprintln!("flag {flag} needs a value");
+                exit(2);
+            };
+            seen.push((flag, v));
         }
         Flags { seen }
     }
 
-    /// The last value given for `flag`, if any (`"true"` for booleans).
+    /// The last value given for `flag`, if any.
     pub fn get(&self, flag: &str) -> Option<&str> {
         self.seen
             .iter()
@@ -117,10 +110,10 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    /// `--scale`, strictly validated; `default` when absent.
-    pub fn scale(&self, default: Scale) -> Scale {
+    /// `--scale`, strictly validated; `small` when absent.
+    pub fn scale(&self) -> Scale {
         match self.get("--scale") {
-            None => default,
+            None => Scale::Small,
             Some(s) => spt::service::scale_from_name(s).unwrap_or_else(|| {
                 eprintln!("--scale must be test, small, or full (got {s:?})");
                 exit(2);
@@ -128,11 +121,11 @@ impl Flags {
         }
     }
 
-    /// `--workers`, strictly validated; `default` when absent (`None`
-    /// means the `SPT_WORKERS` env / available-parallelism default).
-    pub fn workers(&self, default: Option<usize>) -> usize {
+    /// `--workers`, strictly validated; the `SPT_WORKERS` env /
+    /// available-parallelism default when absent.
+    pub fn workers(&self) -> usize {
         match self.get("--workers") {
-            None => default.unwrap_or_else(default_workers),
+            None => default_workers(),
             Some(v) => match v.parse::<usize>() {
                 Ok(n) if n >= 1 => n,
                 _ => {
@@ -162,10 +155,10 @@ impl Args {
         if experiment == "spt_explain" {
             valued.push("--bench");
         }
-        let f = Flags::parse(&valued, &[]);
+        let f = Flags::parse(&valued);
         Args {
-            scale: f.scale(Scale::Small),
-            workers: f.workers(None),
+            scale: f.scale(),
+            workers: f.workers(),
             json: f.get("--json").map(str::to_string),
             trace: f.get("--trace").map(str::to_string),
             server: f.get("--server").map(str::to_string),
@@ -298,33 +291,28 @@ pub fn write_trace_to(
 mod tests {
     use super::*;
 
-    fn flags(args: &[&str], valued: &[&str], boolean: &[&str]) -> Flags {
-        Flags::parse_from(
-            args.iter().map(|s| s.to_string()).collect(),
-            valued,
-            boolean,
-        )
+    fn flags(args: &[&str], valued: &[&str]) -> Flags {
+        Flags::parse_from(args.iter().map(|s| s.to_string()).collect(), valued)
     }
 
     #[test]
     fn last_value_wins_and_lookup_works() {
         let f = flags(
-            &["--scale", "test", "--scale", "full", "--smoke"],
-            &["--scale"],
-            &["--smoke"],
+            &["--scale", "test", "--json", "-", "--scale", "full"],
+            &["--scale", "--json"],
         );
         assert_eq!(f.get("--scale"), Some("full"));
-        assert_eq!(f.get("--smoke"), Some("true"));
+        assert_eq!(f.get("--json"), Some("-"));
         assert_eq!(f.get("--workers"), None);
-        assert_eq!(f.scale(Scale::Small), Scale::Full);
+        assert_eq!(f.scale(), Scale::Full);
     }
 
     #[test]
     fn defaults_apply_when_absent() {
-        let f = flags(&[], &["--scale", "--workers"], &[]);
-        assert_eq!(f.scale(Scale::Full), Scale::Full);
-        assert_eq!(f.workers(Some(1)), 1);
-        let g = flags(&["--workers", "7"], &["--workers"], &[]);
-        assert_eq!(g.workers(Some(1)), 7);
+        let f = flags(&[], &["--scale", "--workers"]);
+        assert_eq!(f.scale(), Scale::Small);
+        assert_eq!(f.workers(), default_workers());
+        let g = flags(&["--workers", "7"], &["--workers"]);
+        assert_eq!(g.workers(), 7);
     }
 }

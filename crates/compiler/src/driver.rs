@@ -114,18 +114,6 @@ pub struct CompileResult {
     pub profile: ProgramProfile,
 }
 
-impl CompileResult {
-    /// Loop annotations for the simulators (`spt-sim` shape: id = index
-    /// into `loops`).
-    pub fn annotation_tuples(&self) -> Vec<(usize, FuncId, Vec<BlockId>, BlockId)> {
-        self.loops
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (i, l.func, vec![l.body_block], l.body_block))
-            .collect()
-    }
-}
-
 struct Pass1Candidate {
     key: LoopKey,
     l: Loop,

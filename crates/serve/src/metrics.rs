@@ -4,8 +4,8 @@
 //!
 //! * [`SweepMetrics`] — a [`PhaseObserver`] fed by the engine itself:
 //!   per-phase compute time and provenance (computed/memo/store), plus
-//!   superstep memo counters. Also usable standalone (`perf_bench
-//!   --metrics` attaches one to a direct-mode sweep).
+//!   superstep memo counters. Also usable standalone, attached to a
+//!   direct-mode sweep.
 //! * [`ServeMetrics`] — request-plane metrics: latency histograms keyed
 //!   by op and `served` provenance, connection/coalescing gauges, byte
 //!   and error counters, and scrape-time mirrors of the `DiskStore` and

@@ -2,26 +2,23 @@
 //! case study, and the implied ablations), producing structured data that
 //! the `spt-bench` binaries render.
 //!
-//! Every experiment comes in two forms:
-//!
-//! * a method on [`Sweep`] that fans per-benchmark work across the engine's
-//!   worker pool, reuses phase results through the memo cache, and returns
-//!   the experiment data together with a [`RunReport`] of per-phase
-//!   timings and cache counters;
-//! * a free function with the original signature, which runs on a fresh
-//!   [`Sweep::auto`] engine and discards the report.
+//! Every experiment is a method on [`Sweep`]: it fans per-benchmark work
+//! across the engine's worker pool, reuses phase results through the memo
+//! cache, and returns the experiment data together with a [`RunReport`] of
+//! per-phase timings and cache counters. Callers that want no report run
+//! it on a fresh [`Sweep::auto`] engine and drop the second element.
 //!
 //! Parallel and sequential runs produce identical data: work items are
 //! independent, results are collected in item order, and all timing
 //! information is confined to the `RunReport`.
 
 use crate::report::arithmetic_mean;
-use crate::solution::{EvalOutcome, RunConfig};
+use crate::solution::{spt_annotations, EvalOutcome, RunConfig};
 use crate::sweep::{BenchRecord, PhaseTimings, RunReport, Sweep};
 use spt_compiler::CompileResult;
 use spt_mach::{MachineConfig, RecoveryKind, RegCheckPolicy};
 use spt_profile::ProgramProfile;
-use spt_sim::{LoopAnnot, LoopAnnotations};
+use spt_sim::LoopAnnotations;
 use spt_workloads::{benchmark, kernels, suite, Scale, Workload};
 use std::time::Instant;
 
@@ -54,11 +51,6 @@ pub const FIG6_LIMITS: [f64; 9] = [
     100_000.0,
     1_000_000.0,
 ];
-
-/// Compute Figure 6 for every suite benchmark.
-pub fn fig6(scale: Scale, fuel: u64) -> Vec<Fig6Series> {
-    Sweep::auto().fig6(scale, fuel).0
-}
 
 fn fig6_points(prof: &ProgramProfile) -> Vec<(f64, f64)> {
     let mut loops: Vec<(f64, f64)> = prof
@@ -125,10 +117,6 @@ fn fig7_row(name: &str, compiled: &CompileResult) -> Fig7Row {
     }
 }
 
-pub fn fig7(scale: Scale, cfg: &RunConfig) -> Vec<Fig7Row> {
-    Sweep::auto().fig7(scale, cfg).0
-}
-
 /// Figure 8: per-benchmark SPT loop-level performance.
 #[derive(Clone, Debug)]
 pub struct Fig8Row {
@@ -152,11 +140,6 @@ pub struct Fig9Row {
     pub exec_contrib: f64,
     pub pipe_contrib: f64,
     pub dcache_contrib: f64,
-}
-
-/// Evaluate the full suite once (shared by Figures 8 and 9).
-pub fn eval_suite(scale: Scale, cfg: &RunConfig) -> Vec<EvalOutcome> {
-    Sweep::auto().eval_suite(scale, cfg).outcomes
 }
 
 /// A suite evaluation: outcomes in suite order, plus the run's metrics.
@@ -280,7 +263,7 @@ impl Sweep {
         let results = self.map(&items, |_, &(b, s)| {
             let w = &ws[b];
             let (compiled, cstamp, pstamp) = self.compile(&w.program, &cfg.compile);
-            let annots = annots_of(&compiled);
+            let annots = spt_annotations(&compiled);
             let (base, bstamp) = self.baseline(
                 &w.program,
                 &cfg.machine,
@@ -352,7 +335,7 @@ impl Sweep {
             let mut copts = cfg.compile.clone();
             copts.cost.cores = n;
             let (compiled, cstamp, pstamp) = self.compile(&w.program, &copts);
-            let annots = annots_of(&compiled);
+            let annots = spt_annotations(&compiled);
             let (base, bstamp) = self.baseline(
                 &w.program,
                 &cfg.machine,
@@ -419,7 +402,7 @@ impl Sweep {
             let w = &ws[b];
             let (label, m) = &variants[v];
             let (compiled, cstamp, pstamp) = self.compile(&w.program, &cfg.compile);
-            let annots = annots_of(&compiled);
+            let annots = spt_annotations(&compiled);
             let (base, bstamp) = self.baseline(
                 &w.program,
                 &cfg.machine,
@@ -581,32 +564,6 @@ fn case_study_of(out: EvalOutcome) -> CaseStudy {
     }
 }
 
-pub fn fig1_case_study(nodes: usize, cfg: &RunConfig) -> CaseStudy {
-    Sweep::auto().fig1_case_study(nodes, cfg).0
-}
-
-/// Ablation A1: speculation result buffer size sweep.
-pub fn ablation_srb(
-    bench_names: &[&str],
-    sizes: &[usize],
-    scale: Scale,
-    cfg: &RunConfig,
-) -> SrbData {
-    Sweep::auto().ablation_srb(bench_names, sizes, scale, cfg).0
-}
-
-/// Core-count scaling sweep over the suite.
-pub fn fig_scale(
-    bench_names: &[&str],
-    core_counts: &[usize],
-    scale: Scale,
-    cfg: &RunConfig,
-) -> ScaleData {
-    Sweep::auto()
-        .fig_scale(bench_names, core_counts, scale, cfg)
-        .0
-}
-
 /// The machine variants of ablations A2/A3 (recovery × register checking).
 fn policy_variants(machine: &MachineConfig) -> Vec<(String, MachineConfig)> {
     vec![
@@ -635,11 +592,6 @@ fn policy_variants(machine: &MachineConfig) -> Vec<(String, MachineConfig)> {
     ]
 }
 
-/// Ablation A2/A3: recovery mechanism and register checking policy.
-pub fn ablation_policies(bench_names: &[&str], scale: Scale, cfg: &RunConfig) -> LabeledData {
-    Sweep::auto().ablation_policies(bench_names, scale, cfg).0
-}
-
 /// The compiler-feature variants of ablation A4.
 fn compiler_variants(cfg: &RunConfig) -> Vec<(String, RunConfig)> {
     let mut no_svp = cfg.clone();
@@ -656,27 +608,6 @@ fn compiler_variants(cfg: &RunConfig) -> Vec<(String, RunConfig)> {
         ("no-unroll".into(), no_unroll),
         ("no-motion".into(), naive),
     ]
-}
-
-/// Ablation A4: compiler features (no SVP, no unroll, naive partition).
-pub fn ablation_compiler(bench_names: &[&str], scale: Scale, cfg: &RunConfig) -> LabeledData {
-    Sweep::auto().ablation_compiler(bench_names, scale, cfg).0
-}
-
-fn annots_of(compiled: &CompileResult) -> LoopAnnotations {
-    LoopAnnotations {
-        loops: compiled
-            .loops
-            .iter()
-            .enumerate()
-            .map(|(i, l)| LoopAnnot {
-                id: i,
-                func: l.func,
-                blocks: vec![l.body_block],
-                fork_start: Some(l.body_block),
-            })
-            .collect(),
-    }
 }
 
 /// Average program speedup across outcomes (the paper's headline 15.6%).
@@ -723,7 +654,7 @@ mod tests {
 
     #[test]
     fn fig1_case_study_shape() {
-        let cs = fig1_case_study(400, &quick_cfg());
+        let cs = Sweep::auto().fig1_case_study(400, &quick_cfg()).0;
         assert!(cs.outcome.semantics_ok());
         assert!(cs.loop_speedup > 1.1, "speedup {}", cs.loop_speedup);
         assert!(cs.invalid_ratio < 0.5);
@@ -732,7 +663,7 @@ mod tests {
 
     #[test]
     fn fig7_reports_selection() {
-        let rows = fig7(Scale::Test, &quick_cfg());
+        let rows = Sweep::auto().fig7(Scale::Test, &quick_cfg()).0;
         assert_eq!(rows.len(), 10);
         let parsers = rows.iter().find(|r| r.name == "parsers").unwrap();
         assert!(parsers.n_spt_loops >= 1);

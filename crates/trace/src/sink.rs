@@ -38,61 +38,32 @@ impl TraceSink for NullSink {
     fn emit(&mut self, _cycle: u64, _ev: TraceEvent) {}
 }
 
-/// In-memory sink keeping the most recent `cap` records (drops the oldest
-/// and counts them), or every record when built with [`RingBufferSink::unbounded`].
-#[derive(Clone, Debug)]
+/// In-memory sink keeping every record in emission order (bounded only by
+/// memory).
+#[derive(Clone, Debug, Default)]
 pub struct RingBufferSink {
-    cap: usize,
-    /// Records in emission order once `take`/`records` compacts the ring.
-    buf: std::collections::VecDeque<TraceRecord>,
-    dropped: u64,
+    buf: Vec<TraceRecord>,
 }
 
 impl RingBufferSink {
-    pub fn with_capacity(cap: usize) -> Self {
-        RingBufferSink {
-            cap: cap.max(1),
-            buf: std::collections::VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Keep every record (bounded only by memory).
     pub fn unbounded() -> Self {
-        Self::with_capacity(usize::MAX)
+        Self::default()
     }
 
-    /// Records currently held, oldest first.
+    /// Records held, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.buf.iter()
     }
 
-    /// Consume the sink, returning held records oldest-first.
+    /// Consume the sink, returning its records oldest-first.
     pub fn into_records(self) -> Vec<TraceRecord> {
-        self.buf.into()
-    }
-
-    /// How many records were evicted to respect the capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.buf
     }
 }
 
 impl TraceSink for RingBufferSink {
     fn emit(&mut self, cycle: u64, ev: TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(TraceRecord { cycle, ev });
+        self.buf.push(TraceRecord { cycle, ev });
     }
 }
 
@@ -319,20 +290,6 @@ mod tests {
         assert!(!s.enabled());
         let (c, e) = fork(3);
         s.emit(c, e); // no-op
-    }
-
-    #[test]
-    fn ring_buffer_keeps_latest_and_counts_drops() {
-        let mut s = RingBufferSink::with_capacity(2);
-        for i in 0..5 {
-            let (c, e) = fork(i);
-            s.emit(c, e);
-        }
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.dropped(), 3);
-        let recs = s.into_records();
-        assert_eq!(recs[0].cycle, 3);
-        assert_eq!(recs[1].cycle, 4);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! through the full pipeline at test scale; the aggregate shape must match
 //! the paper (positive average speedup, vortex flat, parser/mcf strong).
 
-use spt::experiments::{average_speedup, eval_suite, fig8_rows, fig9_rows};
-use spt::RunConfig;
+use spt::experiments::{average_speedup, fig8_rows, fig9_rows};
+use spt::{RunConfig, Sweep};
 use spt_workloads::Scale;
 
 fn cfg() -> RunConfig {
@@ -14,7 +14,7 @@ fn cfg() -> RunConfig {
 
 #[test]
 fn whole_suite_end_to_end_shape() {
-    let outcomes = eval_suite(Scale::Test, &cfg());
+    let outcomes = Sweep::auto().eval_suite(Scale::Test, &cfg()).outcomes;
     assert_eq!(outcomes.len(), 10);
 
     // Semantics everywhere (checked inside eval_suite too).

@@ -95,3 +95,25 @@ fn mixed_experiments_share_the_cache_coherently() {
         "second experiment recomputed shared phases"
     );
 }
+
+#[test]
+fn fig_scale_test_sweep_pins_cycles_and_memo_split() {
+    // The simulated work of the test-scale core-count sweep is a fixed
+    // number: a change that moves it changed what the simulators compute.
+    // Profiles and baselines are shared across core widths (one miss per
+    // benchmark, a hit for each other width); compiles and SPT runs are
+    // per width.
+    let names: Vec<&str> = spt::workloads::suite(Scale::Test)
+        .iter()
+        .map(|w| w.name)
+        .collect();
+    let cores = spt::service::FIG_SCALE_CORES;
+    let (_, report) = Sweep::new(1).fig_scale(&names, &cores, Scale::Test, &run_config());
+    assert_eq!(report.records.len(), names.len() * cores.len());
+    assert_eq!(report.total_sim_cycles(), 918_660);
+    let c = report.cache;
+    assert_eq!((c.profile_hits, c.profile_misses), (20, 10));
+    assert_eq!((c.compile_hits, c.compile_misses), (0, 30));
+    assert_eq!((c.baseline_hits, c.baseline_misses), (20, 10));
+    assert_eq!((c.spt_hits, c.spt_misses), (0, 30));
+}
