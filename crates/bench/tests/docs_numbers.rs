@@ -1,13 +1,15 @@
 //! Pins numbers quoted in the docs to what the code measures.
 //!
-//! EXPERIMENTS.md quotes its "measured" columns at `--scale small` (the
-//! goldens under `results/` are `--scale test` and differ slightly), so
-//! each check reruns the quoted experiment at that scale and compares
-//! every row the doc prints.
+//! EXPERIMENTS.md quotes the Figure 8 and 9 "measured" columns at
+//! `--scale small` (the goldens under `results/` are `--scale test` and
+//! differ slightly) and the core-count table at `--scale test`, so each
+//! check reruns the quoted experiment at the quoted scale and compares
+//! every number the doc prints.
 
-use spt::{run_experiment, ExperimentRequest, RunConfig, Sweep};
+use spt::{run_experiment, ExperimentOutput, ExperimentRequest, RunConfig, Sweep};
 use spt_workloads::Scale;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 fn experiments_md() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
@@ -21,9 +23,10 @@ fn percent(cell: &str) -> f64 {
         .unwrap_or_else(|e| panic!("bad percentage {cell:?}: {e}"))
 }
 
-/// The `(first cell, last cell)` rows of the first markdown table after
-/// the heading that starts with `heading`, header and rule rows skipped.
-fn doc_table(doc: &str, heading: &str) -> Vec<(String, String)> {
+/// The rows of the first markdown table after the heading that starts
+/// with `heading`, header and rule rows skipped: the first cell (the row
+/// name, emphasis stripped), then the other cells.
+fn doc_table(doc: &str, heading: &str) -> Vec<(String, Vec<String>)> {
     let mut lines = doc
         .lines()
         .skip_while(|l| !l.starts_with(heading))
@@ -33,7 +36,7 @@ fn doc_table(doc: &str, heading: &str) -> Vec<(String, String)> {
     for line in lines.by_ref().take_while(|l| l.starts_with('|')).skip(2) {
         let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
         let name = cells[0].trim().trim_matches('*').to_string();
-        rows.push((name, cells[cells.len() - 1].to_string()));
+        rows.push((name, cells[1..].iter().map(|c| c.to_string()).collect()));
     }
     assert!(
         !rows.is_empty(),
@@ -42,15 +45,78 @@ fn doc_table(doc: &str, heading: &str) -> Vec<(String, String)> {
     rows
 }
 
+/// Run `experiment` at `scale` on one engine shared by every test here,
+/// so the Figure 8 and 9 checks share one suite evaluation.
+fn run(experiment: &str, scale: Scale) -> ExperimentOutput {
+    static SWEEP: OnceLock<Sweep> = OnceLock::new();
+    run_experiment(
+        SWEEP.get_or_init(|| Sweep::new(2)),
+        &ExperimentRequest::new(experiment, scale),
+        &RunConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("{experiment} runs: {e}"))
+}
+
+#[test]
+fn fig8_averages_match_small_scale_run() {
+    let doc = doc_table(&experiments_md(), "## Figure 8");
+    let out = run("fig8", Scale::Small);
+    // `averages: loop speedup +68.7%, fast-commit 70.6%, misspec 1.36%`
+    let line = out
+        .table
+        .lines()
+        .find_map(|l| l.strip_prefix("averages: "))
+        .expect("averages line");
+    let measured: Vec<f64> = line
+        .split(", ")
+        .map(|item| percent(item.rsplit(' ').next().expect("value")))
+        .collect();
+    let quoted: Vec<(String, f64)> = doc
+        .iter()
+        .map(|(n, cells)| (n.clone(), percent(cells.last().expect("measured cell"))))
+        .collect();
+    let names = [
+        "SPT loop speedup",
+        "fast-commit ratio",
+        "misspeculation ratio",
+    ];
+    let measured: Vec<(String, f64)> = names.iter().map(|n| n.to_string()).zip(measured).collect();
+    assert_eq!(
+        quoted, measured,
+        "EXPERIMENTS.md Fig. 8 table disagrees with `fig8 --scale small`"
+    );
+}
+
+#[test]
+fn fig_scale_table_matches_test_scale_run() {
+    let doc = doc_table(&experiments_md(), "## Core-count scaling");
+    let out = run("fig_scale", Scale::Test);
+    // Measured rows: `name  8.9%  12.2%  13.9%`, benchmarks then average.
+    let measured: Vec<(String, Vec<f64>)> = out
+        .table
+        .lines()
+        .filter_map(|l| {
+            let mut cells = l.split_whitespace();
+            let name = cells.next()?.to_string();
+            let values: Vec<&str> = cells.collect();
+            let all_percent = !values.is_empty() && values.iter().all(|v| v.ends_with('%'));
+            all_percent.then(|| (name, values.into_iter().map(percent).collect()))
+        })
+        .collect();
+    let quoted: Vec<(String, Vec<f64>)> = doc
+        .iter()
+        .map(|(n, cells)| (n.clone(), cells.iter().map(|c| percent(c)).collect()))
+        .collect();
+    assert_eq!(
+        quoted, measured,
+        "EXPERIMENTS.md core-count table disagrees with `fig_scale --scale test`"
+    );
+}
+
 #[test]
 fn fig9_table_matches_small_scale_run() {
     let doc = doc_table(&experiments_md(), "## Figure 9");
-    let out = run_experiment(
-        &Sweep::new(2),
-        &ExperimentRequest::new("fig9", Scale::Small),
-        &RunConfig::default(),
-    )
-    .expect("fig9 runs");
+    let out = run("fig9", Scale::Small);
 
     // Measured rows: `| bench | speedup | ... |`, then the average line.
     let mut measured: Vec<(String, f64)> = out
@@ -71,7 +137,10 @@ fn fig9_table_matches_small_scale_run() {
         .expect("average line");
     measured.push(("average".into(), percent(avg)));
 
-    let quoted: Vec<(String, f64)> = doc.iter().map(|(n, m)| (n.clone(), percent(m))).collect();
+    let quoted: Vec<(String, f64)> = doc
+        .iter()
+        .map(|(n, cells)| (n.clone(), percent(cells.last().expect("measured cell"))))
+        .collect();
     assert_eq!(
         quoted, measured,
         "EXPERIMENTS.md Fig. 9 table disagrees with `fig9 --scale small`"

@@ -9,6 +9,12 @@
 //! Pass 2: evaluate all candidate partitions together, select all good (and
 //! only good) SPT loops — non-nested, estimated speedup above threshold —
 //! and apply the SPT loop transformation to produce the final program.
+//!
+//! [`compile_with_profile`] composes three parts: [`select_candidates`]
+//! (pass 1a), the candidates' dependence profile, and
+//! [`compile_candidates`] (the rest). Pass 1a never reads the cost model,
+//! so callers compiling one program for several core widths can compute
+//! the dependence profile once and hand it to each compile.
 
 use crate::body::{linearize, LinearBody, LinearizeError};
 use crate::cost::CostParams;
@@ -16,7 +22,7 @@ use crate::ddg::Ddg;
 use crate::partition::{search_partition, Partition, PartitionError};
 use crate::transform::transform_loop;
 use crate::unroll::unroll_linear;
-use spt_profile::{profile_loops, profile_program, LoopKey, ProgramProfile};
+use spt_profile::{profile_loops, profile_program, DepProfile, LoopKey, ProgramProfile};
 use spt_sir::{analyze_loops, BlockId, Cfg, FuncId, Loop, Program};
 use spt_trace::{NullSink, TraceEvent, TraceSink};
 use std::collections::HashMap;
@@ -169,15 +175,48 @@ pub fn compile_with_profile(
 /// [`compile_with_profile`] with an explicit trace sink receiving the
 /// driver's selection events (`PartitionChosen`, `LoopSelected`,
 /// `LoopRejected`).
+///
+/// This is the composition of the driver's three parts:
+/// [`select_candidates`], the dependence profile of the candidates
+/// ([`Candidates::keys`] through [`profile_loops`]), and
+/// [`compile_candidates`].
 pub fn compile_with_profile_traced(
     prog: &Program,
     opts: &CompileOptions,
     profile: ProgramProfile,
     sink: &mut dyn TraceSink,
 ) -> CompileResult {
-    let mut rejected: Vec<(LoopKey, RejectReason)> = Vec::new();
+    let candidates = select_candidates(prog, opts, &profile, sink);
+    let deps = profile_loops(prog, &candidates.keys(), opts.profile_fuel);
+    compile_candidates(prog, opts, profile, candidates, &deps, sink)
+}
 
-    // Pass 1a: enumerate loops and apply the simple selection criteria.
+/// The loops that pass pass 1a's simple selection criteria, plus the
+/// loops pass 1a rejected. Built by [`select_candidates`].
+pub struct Candidates {
+    loops: Vec<(LoopKey, Loop, Cfg)>,
+    rejected: Vec<(LoopKey, RejectReason)>,
+}
+
+impl Candidates {
+    /// The candidates in enumeration order (functions in order, loops in
+    /// forest order): the selection their dependence profile must cover.
+    pub fn keys(&self) -> Vec<LoopKey> {
+        self.loops.iter().map(|(k, _, _)| *k).collect()
+    }
+}
+
+/// Pass 1a: enumerate loops and apply the simple selection criteria
+/// (coverage, trip count, body size). Reads only the program profile and
+/// the selection options of `opts`, never the cost model, so every core
+/// width shares one result.
+pub fn select_candidates(
+    prog: &Program,
+    opts: &CompileOptions,
+    profile: &ProgramProfile,
+    sink: &mut dyn TraceSink,
+) -> Candidates {
+    let mut rejected: Vec<(LoopKey, RejectReason)> = Vec::new();
     let mut structural: Vec<(LoopKey, Loop, Cfg)> = Vec::new();
     for fid in prog.func_ids() {
         let f = prog.func(fid);
@@ -217,10 +256,28 @@ pub fn compile_with_profile_traced(
             structural.push((key, l.clone(), Cfg::new(f)));
         }
     }
+    Candidates {
+        loops: structural,
+        rejected,
+    }
+}
 
-    // Pass 1b: dependence-profile all candidates in one run.
-    let keys: Vec<LoopKey> = structural.iter().map(|(k, _, _)| *k).collect();
-    let dep_profile = profile_loops(prog, &keys, opts.profile_fuel);
+/// Passes 1c and 2 over pass 1a's `candidates`, given their dependence
+/// profile `dep_profile` (collected with `opts.profile_fuel` over
+/// [`Candidates::keys`]): linearize, preprocess and search partitions,
+/// then select globally and transform.
+pub fn compile_candidates(
+    prog: &Program,
+    opts: &CompileOptions,
+    profile: ProgramProfile,
+    candidates: Candidates,
+    dep_profile: &DepProfile,
+    sink: &mut dyn TraceSink,
+) -> CompileResult {
+    let Candidates {
+        loops: structural,
+        mut rejected,
+    } = candidates;
 
     // Profiled call costs for the misspeculation cost model.
     let call_costs: HashMap<FuncId, f64> = prog

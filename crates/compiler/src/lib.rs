@@ -29,8 +29,8 @@ pub use body::{linearize, LinearBody, LinearizeError};
 pub use cost::{estimate_speedup, misspeculation_cost, stmt_cost, CostParams};
 pub use ddg::{CrossDep, Ddg, IntraDep};
 pub use driver::{
-    compile, compile_with_profile, compile_with_profile_traced, CompileOptions, CompileResult,
-    RejectReason, SptLoopInfo,
+    compile, compile_candidates, compile_with_profile, compile_with_profile_traced,
+    select_candidates, Candidates, CompileOptions, CompileResult, RejectReason, SptLoopInfo,
 };
 pub use partition::{search_partition, Partition};
 pub use region::{apply_region_split, find_region_split, speculate_region, RegionSplit};

@@ -1,8 +1,11 @@
 //! Tracking which loops are active during interpretation.
+//!
+//! The tracker runs once per interpreted step, so its static tables are
+//! dense: a per-block header table (program-wide flat block index) and a
+//! per-loop block-membership table replace hash probes on the hot path.
 
 use spt_interp::{EvKind, Event};
-use spt_sir::{analyze_loops, BlockId, FuncId, LoopForest, LoopId, Program};
-use std::collections::HashMap;
+use spt_sir::{analyze_loops, BlockId, FuncId, LoopId, Program, StmtRef};
 
 /// Identifies a static loop across the whole program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -11,59 +14,162 @@ pub struct LoopKey {
     pub loop_id: LoopId,
 }
 
+/// Dense program-wide numbering of blocks and statements: function `f`'s
+/// block `b` is flat block `block_base[f] + b`, and statement `i` of that
+/// block is flat statement `stmt_base[flat block] + i`.
+pub(crate) struct Layout {
+    block_base: Vec<u32>,
+    stmt_base: Vec<u32>,
+    n_stmts: usize,
+}
+
+impl Layout {
+    pub(crate) fn new(prog: &Program) -> Layout {
+        let mut block_base = Vec::with_capacity(prog.funcs.len());
+        let mut stmt_base = Vec::new();
+        let mut n_stmts = 0usize;
+        for f in &prog.funcs {
+            block_base.push(stmt_base.len() as u32);
+            for b in &f.blocks {
+                stmt_base.push(n_stmts as u32);
+                n_stmts += b.insts.len();
+            }
+        }
+        Layout {
+            block_base,
+            stmt_base,
+            n_stmts,
+        }
+    }
+
+    /// Total blocks across all functions.
+    pub(crate) fn n_blocks(&self) -> usize {
+        self.stmt_base.len()
+    }
+
+    /// Total statements across all functions.
+    pub(crate) fn n_stmts(&self) -> usize {
+        self.n_stmts
+    }
+
+    #[inline]
+    pub(crate) fn block(&self, func: FuncId, block: BlockId) -> usize {
+        self.block_base[func.index()] as usize + block.index()
+    }
+
+    #[inline]
+    pub(crate) fn stmt(&self, func: FuncId, sref: StmtRef) -> usize {
+        self.stmt_base[self.block(func, sref.block)] as usize + sref.index as usize
+    }
+}
+
 /// One active loop execution.
 #[derive(Clone, Debug)]
 pub struct ActiveLoop {
     pub key: LoopKey,
+    /// Dense index of the loop ([`LoopContextTracker::index_of`]).
+    pub index: usize,
     /// Frame depth at which the loop executes.
     pub depth: u32,
     /// Iterations observed in this invocation so far.
     pub iters: u64,
 }
 
+/// Static facts about one loop.
+struct LoopMeta {
+    key: LoopKey,
+    /// Membership per block of the loop's function.
+    members: Vec<bool>,
+}
+
+/// No loop has its header here.
+const NO_LOOP: u32 = u32::MAX;
+
+/// Per flat block: the loop whose header it is and whether that header
+/// has no statements (its terminator event is then the block head).
+#[derive(Clone, Copy)]
+struct Head {
+    loop_index: u32,
+    empty: bool,
+}
+
 /// Maintains the stack of active loops (across nesting and calls) from the
 /// event stream, and reports loop entry / iteration / exit transitions.
 pub struct LoopContextTracker {
-    forests: HashMap<FuncId, LoopForest>,
-    /// First-position marker: (func, block) -> loop whose header this is.
-    headers: HashMap<(FuncId, BlockId), LoopId>,
-    /// Header blocks with no instructions: their Term event is the head.
-    empty_headers: std::collections::HashSet<(FuncId, BlockId)>,
+    layout: Layout,
+    heads: Vec<Head>,
+    loops: Vec<LoopMeta>,
     stack: Vec<ActiveLoop>,
 }
 
-/// What a single event did to the loop context.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// What a single event did to the loop context, apart from exits (which
+/// [`LoopContextTracker::observe`] hands to its callback).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopTransition {
-    /// Loops exited by this event (innermost first).
-    pub exited: Vec<(LoopKey, u64)>,
-    /// Loop entered by this event.
-    pub entered: Option<LoopKey>,
-    /// Loop that began a new iteration (incl. the first on entry).
-    pub iterated: Option<LoopKey>,
+    /// True when the iterated loop was entered by this event.
+    pub entered: bool,
+    /// Dense index of the loop that began a new iteration (incl. the first
+    /// on entry).
+    pub iterated: Option<usize>,
 }
 
 impl LoopContextTracker {
     pub fn new(prog: &Program) -> Self {
-        let mut forests = HashMap::new();
-        let mut headers = HashMap::new();
-        let mut empty_headers = std::collections::HashSet::new();
+        let layout = Layout::new(prog);
+        let mut heads = vec![
+            Head {
+                loop_index: NO_LOOP,
+                empty: false,
+            };
+            layout.n_blocks()
+        ];
+        let mut loops = Vec::new();
         for fid in prog.func_ids() {
-            let (_, _, forest) = analyze_loops(prog.func(fid));
+            let f = prog.func(fid);
+            let (_, _, forest) = analyze_loops(f);
             for l in &forest.loops {
-                headers.insert((fid, l.header), l.id);
-                if prog.func(fid).block(l.header).insts.is_empty() {
-                    empty_headers.insert((fid, l.header));
+                let mut members = vec![false; f.blocks.len()];
+                for b in &l.blocks {
+                    members[b.index()] = true;
                 }
+                heads[layout.block(fid, l.header)] = Head {
+                    loop_index: loops.len() as u32,
+                    empty: f.block(l.header).insts.is_empty(),
+                };
+                loops.push(LoopMeta {
+                    key: LoopKey {
+                        func: fid,
+                        loop_id: l.id,
+                    },
+                    members,
+                });
             }
-            forests.insert(fid, forest);
         }
         LoopContextTracker {
-            forests,
-            headers,
-            empty_headers,
+            layout,
+            heads,
+            loops,
             stack: Vec::new(),
         }
+    }
+
+    /// Number of static loops in the program (the dense index range).
+    pub fn n_loops(&self) -> usize {
+        self.loops.len()
+    }
+
+    /// The key of the loop with dense index `index`.
+    pub fn key(&self, index: usize) -> LoopKey {
+        self.loops[index].key
+    }
+
+    /// Dense index of `key`, if the program has that loop.
+    pub fn index_of(&self, key: LoopKey) -> Option<usize> {
+        self.loops.iter().position(|l| l.key == key)
+    }
+
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// The innermost active loop, if any.
@@ -71,27 +177,10 @@ impl LoopContextTracker {
         self.stack.last()
     }
 
-    /// All active loops, outermost first.
-    pub fn active(&self) -> &[ActiveLoop] {
-        &self.stack
-    }
-
-    /// Is this event at the first position of a block (where iteration
-    /// boundaries are observed)? Term events are heads only for empty
-    /// blocks.
-    fn block_head(&self, ev: &Event) -> Option<(FuncId, BlockId)> {
-        match ev.kind {
-            EvKind::Inst { func, sref } if sref.index == 0 => Some((func, sref.block)),
-            EvKind::Term { func, block } if self.empty_headers.contains(&(func, block)) => {
-                Some((func, block))
-            }
-            _ => None,
-        }
-    }
-
-    /// Feed one event; returns the loop transitions it caused.
-    pub fn observe(&mut self, ev: &Event) -> LoopTransition {
-        let mut tr = LoopTransition::default();
+    /// Feed one event; loops it exits are popped and passed to `exited`
+    /// innermost first, and the entry/iteration it caused is returned.
+    #[inline]
+    pub fn observe(&mut self, ev: &Event, mut exited: impl FnMut(ActiveLoop)) -> LoopTransition {
         let (func, block) = match ev.kind {
             EvKind::Inst { func, sref } => (func, sref.block),
             EvKind::Term { func, block } => (func, block),
@@ -99,52 +188,53 @@ impl LoopContextTracker {
 
         // Exits: shallower frame, or same frame outside the loop's blocks.
         while let Some(top) = self.stack.last() {
-            let forest = &self.forests[&top.key.func];
-            let l = forest.get(top.key.loop_id);
-            let exited = ev.depth < top.depth
-                || (ev.depth == top.depth && (func != top.key.func || !l.contains(block)));
-            if exited {
-                let t = self.stack.pop().expect("non-empty");
-                tr.exited.push((t.key, t.iters));
-            } else {
+            let gone = ev.depth < top.depth
+                || (ev.depth == top.depth
+                    && (func != top.key.func || !self.loops[top.index].members[block.index()]));
+            if !gone {
                 break;
             }
+            exited(self.stack.pop().expect("non-empty"));
         }
 
-        // Entry / iteration at a header's first position.
-        if let Some((hf, hb)) = self.block_head(ev) {
-            if let Some(&lid) = self.headers.get(&(hf, hb)) {
-                let key = LoopKey {
-                    func: hf,
-                    loop_id: lid,
-                };
-                match self.stack.last_mut() {
-                    Some(top) if top.key == key && top.depth == ev.depth => {
-                        top.iters += 1;
-                        tr.iterated = Some(key);
-                    }
-                    _ => {
-                        self.stack.push(ActiveLoop {
-                            key,
-                            depth: ev.depth,
-                            iters: 1,
-                        });
-                        tr.entered = Some(key);
-                        tr.iterated = Some(key);
-                    }
+        // Entry / iteration at a header's first position. Term events are
+        // heads only for empty blocks.
+        let head = self.heads[self.layout.block(func, block)];
+        let at_head = match ev.kind {
+            EvKind::Inst { sref, .. } => sref.index == 0,
+            EvKind::Term { .. } => head.empty,
+        };
+        if head.loop_index == NO_LOOP || !at_head {
+            return LoopTransition::default();
+        }
+        let index = head.loop_index as usize;
+        match self.stack.last_mut() {
+            Some(top) if top.index == index && top.depth == ev.depth => {
+                top.iters += 1;
+                LoopTransition {
+                    entered: false,
+                    iterated: Some(index),
+                }
+            }
+            _ => {
+                self.stack.push(ActiveLoop {
+                    key: self.loops[index].key,
+                    index,
+                    depth: ev.depth,
+                    iters: 1,
+                });
+                LoopTransition {
+                    entered: true,
+                    iterated: Some(index),
                 }
             }
         }
-        tr
     }
 
-    /// Pop everything (end of program), reporting final exits.
-    pub fn finish(&mut self) -> Vec<(LoopKey, u64)> {
-        let mut out = Vec::new();
-        while let Some(t) = self.stack.pop() {
-            out.push((t.key, t.iters));
-        }
-        out
+    /// Pop everything (end of program), passing each loop to `exited`
+    /// innermost first.
+    pub fn finish(&mut self, exited: impl FnMut(ActiveLoop)) {
+        self.stack.drain(..).rev().for_each(exited);
     }
 }
 
@@ -183,13 +273,12 @@ mod tests {
         let mut iters = 0;
         let mut exits = Vec::new();
         while let Some(ev) = cur.step(&mut mem) {
-            let tr = tracker.observe(&ev);
+            let tr = tracker.observe(&ev, |l| exits.push((l.key, l.iters)));
             if tr.iterated.is_some() {
                 iters += 1;
             }
-            exits.extend(tr.exited);
         }
-        exits.extend(tracker.finish());
+        tracker.finish(|l| exits.push((l.key, l.iters)));
         (iters, exits)
     }
 
@@ -293,7 +382,7 @@ mod tests {
         let mut cur = Cursor::at_entry(&dec);
         let mut deepest_in_loop = 0u32;
         while let Some(ev) = cur.step(&mut mem) {
-            tracker.observe(&ev);
+            tracker.observe(&ev, |_| {});
             if tracker.current().is_some() {
                 deepest_in_loop = deepest_in_loop.max(ev.depth);
             }

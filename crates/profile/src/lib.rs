@@ -20,6 +20,8 @@
 
 pub mod context;
 pub mod deps;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 
 pub use context::{LoopContextTracker, LoopKey};

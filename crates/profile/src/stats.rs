@@ -1,7 +1,7 @@
 //! Whole-program profiling: loop statistics and reach probabilities.
 
 use crate::context::{LoopContextTracker, LoopKey};
-use spt_interp::{Cursor, DecodedProgram, EvKind, Memory};
+use spt_interp::{Cursor, DecOp, DecodedProgram, EvKind, Memory};
 use spt_sir::{BlockId, FuncId, Program, StmtRef};
 use std::collections::HashMap;
 
@@ -114,65 +114,75 @@ impl ProgramProfile {
 
 /// Run the program once, collecting loop statistics and reach
 /// probabilities.
+///
+/// Counters live in dense per-loop, per-statement, per-block and
+/// per-function vectors for the run and become the profile's maps at the
+/// end. Inclusive instruction counts (per active loop, per function on
+/// the call stack) are not added step by step: each stack entry records
+/// the step count when it is pushed and adds the difference when it is
+/// popped, so a recursive frame still counts once per stack occurrence.
 pub fn profile_program(prog: &Program, max_steps: u64) -> ProgramProfile {
     let mut tracker = LoopContextTracker::new(prog);
     let mut mem = Memory::for_program(prog);
     let dec = DecodedProgram::new(prog);
     let mut cur = Cursor::at_entry(&dec);
-    let mut p = ProgramProfile::default();
+    let layout = tracker.layout();
+    let n_funcs = prog.funcs.len();
+    let mut loops = vec![LoopDyn::default(); tracker.n_loops()];
+    let mut guards = vec![GuardCount::default(); layout.n_stmts()];
+    let mut branches = vec![(0u64, 0u64); layout.n_blocks()];
+    let mut func_calls = vec![0u64; n_funcs];
+    let mut func_instrs = vec![0u64; n_funcs];
+    let stmt_slot: Vec<(FuncId, StmtRef)> = all_stmts(prog);
+    let block_slot: Vec<(FuncId, BlockId)> = all_blocks(prog);
 
-    // Function-cost attribution: the stack of active functions.
-    let mut fstack: Vec<FuncId> = vec![prog.entry];
-    *p.func_calls.entry(prog.entry).or_default() += 1;
+    // The stacks of active functions and loops. Each entry holds the
+    // number of steps before its first counted one; popping it adds the
+    // steps counted since.
+    let mut fstack: Vec<(FuncId, u64)> = vec![(prog.entry, 0)];
+    func_calls[prog.entry.index()] += 1;
+    let mut lstack: Vec<u64> = Vec::new();
 
     let mut steps = 0u64;
     while steps < max_steps {
         let Some(ev) = cur.step(&mut mem) else { break };
         steps += 1;
-        p.total_instrs += 1;
 
-        // Inclusive per-function instruction attribution.
-        for &fid in &fstack {
-            *p.func_instrs.entry(fid).or_default() += 1;
-        }
-        if ev.is_call() {
-            if let EvKind::Inst { func, sref } = ev.kind {
-                if let spt_sir::Op::Call { callee, .. } = &prog.func(func).inst(sref).op {
-                    fstack.push(*callee);
-                    *p.func_calls.entry(*callee).or_default() += 1;
-                }
+        // Loop exits: an exiting loop's count stops before this step.
+        let tr = tracker.observe(&ev, |al| {
+            let since = lstack.pop().expect("loop stacks in step");
+            loops[al.index].dyn_instrs += steps - 1 - since;
+        });
+        if let Some(index) = tr.iterated {
+            if tr.entered {
+                loops[index].invocations += 1;
+                // A loop entered here counts this step.
+                lstack.push(steps - 1);
             }
-        } else if ev.is_ret() {
-            fstack.pop();
-        }
-
-        let tr = tracker.observe(&ev);
-        if let Some(key) = tr.entered {
-            p.loops.entry(key).or_default().invocations += 1;
-        }
-        if let Some(key) = tr.iterated {
-            p.loops.entry(key).or_default().iterations += 1;
-        }
-        // Attribute the instruction to every active loop (nesting).
-        for al in tracker.active() {
-            p.loops.entry(al.key).or_default().dyn_instrs += 1;
+            loops[index].iterations += 1;
         }
 
         match ev.kind {
             EvKind::Inst { func, sref } => {
-                if prog.func(func).inst(sref).guard.is_some() {
-                    let g = p.guards.entry((func, sref)).or_default();
-                    if ev.executed {
-                        g.pass += 1;
-                    } else {
-                        g.fail += 1;
+                let g = &mut guards[tracker.layout().stmt(func, sref)];
+                if ev.executed {
+                    g.pass += 1;
+                } else {
+                    g.fail += 1;
+                }
+                if ev.is_call() {
+                    if let DecOp::Call { callee, .. } = dec.func(func).inst(sref).op {
+                        // The call step is the caller's; the callee counts
+                        // from the next one.
+                        fstack.push((callee, steps));
+                        func_calls[callee.index()] += 1;
                     }
                 }
             }
             EvKind::Term { func, block } => {
                 if let Some(b) = ev.branch {
                     if b.conditional {
-                        let e = p.branches.entry((func, block)).or_default();
+                        let e = &mut branches[tracker.layout().block(func, block)];
                         if b.taken {
                             e.0 += 1;
                         } else {
@@ -180,13 +190,79 @@ pub fn profile_program(prog: &Program, max_steps: u64) -> ProgramProfile {
                         }
                     }
                 }
+                // A return step is still the returning function's.
+                if ev.is_ret() {
+                    if let Some((fid, since)) = fstack.pop() {
+                        func_instrs[fid.index()] += steps - since;
+                    }
+                }
             }
         }
     }
-    tracker.finish();
-    p.ret = cur.return_value();
-    p.out_of_fuel = !cur.is_halted();
-    p
+    tracker.finish(|al| {
+        let since = lstack.pop().expect("loop stacks in step");
+        loops[al.index].dyn_instrs += steps - since;
+    });
+    for (fid, since) in fstack {
+        func_instrs[fid.index()] += steps - since;
+    }
+
+    ProgramProfile {
+        total_instrs: steps,
+        loops: loops
+            .into_iter()
+            .enumerate()
+            .filter(|(_, l)| l.invocations > 0)
+            .map(|(i, l)| (tracker.key(i), l))
+            .collect(),
+        guards: guards
+            .into_iter()
+            .zip(stmt_slot)
+            .filter(|&(g, (func, sref))| {
+                g.pass + g.fail > 0 && dec.func(func).inst(sref).guard.is_some()
+            })
+            .map(|(g, at)| (at, g))
+            .collect(),
+        branches: branches
+            .into_iter()
+            .zip(block_slot)
+            .filter(|&((t, n), _)| t + n > 0)
+            .map(|(c, at)| (at, c))
+            .collect(),
+        func_calls: nonzero_per_func(func_calls),
+        func_instrs: nonzero_per_func(func_instrs),
+        ret: cur.return_value(),
+        out_of_fuel: !cur.is_halted(),
+    }
+}
+
+/// Every statement of the program, in flat statement order.
+fn all_stmts(prog: &Program) -> Vec<(FuncId, StmtRef)> {
+    let mut v = Vec::new();
+    for fid in prog.func_ids() {
+        for (b, blk) in prog.func(fid).blocks.iter().enumerate() {
+            for i in 0..blk.insts.len() {
+                v.push((fid, StmtRef::new(BlockId(b as u32), i)));
+            }
+        }
+    }
+    v
+}
+
+/// Every block of the program, in flat block order.
+fn all_blocks(prog: &Program) -> Vec<(FuncId, BlockId)> {
+    prog.func_ids()
+        .flat_map(|fid| (0..prog.func(fid).blocks.len()).map(move |b| (fid, BlockId(b as u32))))
+        .collect()
+}
+
+fn nonzero_per_func(counts: Vec<u64>) -> HashMap<FuncId, u64> {
+    counts
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, n)| n > 0)
+        .map(|(f, n)| (FuncId(f as u32), n))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Minimal HTTP/1.1 scrape endpoint: `GET /metrics` returns the
 //! Prometheus text exposition, nothing else is served.
 //!
-//! This is deliberately not a web server: one nonblocking accept loop
-//! polled against the daemon's stop flag (the same discipline as the
-//! main protocol listener), connections handled inline because a scrape
+//! This is deliberately not a web server: one blocking accept loop woken
+//! by the daemon's stop (the same discipline as the main protocol
+//! listener), connections handled inline because a scrape
 //! is a render of in-memory atomics and takes microseconds, and every
 //! response closes the connection. Stock Prometheus speaks exactly this
 //! much HTTP.
@@ -11,48 +11,47 @@
 use crate::Shared;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::ACCEPT_POLL;
+use crate::ACCEPT_RETRY;
 
 /// Deadline for reading a whole request head, and the write timeout for
 /// its answer: generous for a scraper, short enough that a stuck or
 /// trickling client cannot wedge the (single-threaded) scrape loop.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Bind `addr` (TCP only; port 0 picks a free port) and serve scrapes
-/// until the daemon's stop flag is set. Returns the bound address and
-/// the loop's thread handle.
-pub(crate) fn spawn(addr: &str, shared: Arc<Shared>) -> std::io::Result<(String, JoinHandle<()>)> {
+/// Bind `addr` (TCP only; port 0 picks a free port). Returns the
+/// listener and its bound address.
+pub(crate) fn bind(addr: &str) -> std::io::Result<(TcpListener, String)> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let bound = listener.local_addr()?.to_string();
-    let handle = std::thread::spawn(move || scrape_loop(listener, &shared));
-    Ok((bound, handle))
+    Ok((listener, bound))
+}
+
+/// Serve scrapes on `listener` until the daemon stops.
+pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> JoinHandle<()> {
+    std::thread::spawn(move || scrape_loop(listener, &shared))
 }
 
 fn scrape_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // One slow scraper must not take the endpoint down with
-                // it; errors just drop the connection.
-                let _ = serve_scrape(stream, shared);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+    loop {
+        let accepted = listener.accept();
+        if shared.stopping() {
+            return;
+        }
+        match accepted {
+            // One slow scraper must not take the endpoint down with it;
+            // errors just drop the connection.
+            Ok((stream, _)) => drop(serve_scrape(stream, shared)),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
 }
 
 /// Read one request head, answer it, close.
 fn serve_scrape(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(SCRAPE_TIMEOUT))?;
 
     let head = read_head(&mut stream, SCRAPE_TIMEOUT)?;

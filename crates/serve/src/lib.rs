@@ -26,7 +26,13 @@
 //!   after restart is served from disk without simulating anything.
 //! * **Timeouts & shutdown** — every connection has a read timeout, and
 //!   a `shutdown` request (or [`Server::shutdown`]) stops the listener,
-//!   drains in-flight connections, and flushes the store.
+//!   drains in-flight connections, and flushes the store. Listeners block
+//!   in `accept`; stopping wakes them with a connection to their own
+//!   address.
+//! * **Connection cap** — a pool of at most [`MAX_CONNS`] worker threads,
+//!   grown on demand and reused across connections, serves one
+//!   connection each; a connection arriving while all are busy at the
+//!   cap is answered `busy` and closed.
 //!
 //! * **Telemetry** — every daemon carries a [`ServeMetrics`] plane
 //!   (request latency histograms by op × provenance, connection and
@@ -47,7 +53,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,9 +63,17 @@ pub mod metrics;
 
 pub use metrics::{ServeMetrics, SweepMetrics};
 
-/// How the listener polls for new connections while staying responsive
-/// to the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Most connections served at once. A connection beyond the cap is
+/// answered with one `{"ok":false,"error":"busy",...}` line and closed.
+pub const MAX_CONNS: usize = 64;
+
+/// How long a new connection waits for a busy worker to free up before
+/// the pool grows by one thread.
+const GROW_WAIT: Duration = Duration::from_millis(2);
+
+/// Pause after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error does not spin a listener thread.
+pub(crate) const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Longest request line the daemon reads, newline excluded. Every valid
 /// request is well under 1 KB; a longer line is answered with an error.
@@ -247,7 +261,10 @@ type WorkResult = Result<Arc<str>, String>;
 pub(crate) struct Shared {
     sweep: Sweep,
     run_cfg: RunConfig,
-    pub(crate) stop: AtomicBool,
+    stop: AtomicBool,
+    /// Bound addresses of the listeners, connected to on stop to wake
+    /// their blocking `accept`.
+    wake: Vec<String>,
     read_timeout: Duration,
     /// Response memo + in-flight coalescing: request fingerprint → the
     /// serialized payload, computed at most once.
@@ -259,6 +276,27 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Set the stop flag and wake every listener. Idempotent.
+    pub(crate) fn request_stop(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            for addr in &self.wake {
+                // A refused or failed connect means that listener is
+                // already gone.
+                let _ = if addr.contains('/') {
+                    UnixStream::connect(addr).map(drop)
+                } else {
+                    TcpStream::connect(addr).map(drop)
+                };
+            }
+        }
+    }
+
+    /// True once [`Shared::request_stop`] ran. A listener checks it after
+    /// every `accept`, so the wake-up connection is never served.
+    pub(crate) fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
     fn count(&self, how: Served) {
         self.served[how.idx()].fetch_add(1, Ordering::Relaxed);
     }
@@ -383,11 +421,9 @@ impl Listener {
             // A stale socket file from a previous run refuses rebinding.
             let _ = std::fs::remove_file(&path);
             let l = UnixListener::bind(&path)?;
-            l.set_nonblocking(true)?;
             Ok((Listener::Unix(l, path.clone()), addr.to_string()))
         } else {
             let l = TcpListener::bind(addr)?;
-            l.set_nonblocking(true)?;
             let bound = l.local_addr()?.to_string();
             Ok((Listener::Tcp(l), bound))
         }
@@ -419,12 +455,10 @@ impl Conn {
     fn configure(&self, read_timeout: Duration) -> std::io::Result<()> {
         match self {
             Conn::Tcp(s) => {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(read_timeout))?;
                 s.set_write_timeout(Some(read_timeout))
             }
             Conn::Unix(s) => {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(read_timeout))?;
                 s.set_write_timeout(Some(read_timeout))
             }
@@ -486,10 +520,17 @@ impl Server {
             None => Sweep::new(cfg.workers.max(1)),
         };
         sweep.set_observer(metrics.sweep_observer());
+        let scrape = match &cfg.metrics {
+            Some(m) => Some(http::bind(m)?),
+            None => None,
+        };
+        let mut wake = vec![addr.clone()];
+        wake.extend(scrape.as_ref().map(|(_, bound)| bound.clone()));
         let shared = Arc::new(Shared {
             sweep,
             run_cfg: RunConfig::default(),
             stop: AtomicBool::new(false),
+            wake,
             read_timeout: cfg.read_timeout,
             responses: Mutex::new(HashMap::new()),
             served: Default::default(),
@@ -497,11 +538,8 @@ impl Server {
             errors: AtomicU64::new(0),
             metrics,
         });
-        let (metrics_addr, metrics_thread) = match &cfg.metrics {
-            Some(m) => {
-                let (bound, handle) = http::spawn(m, shared.clone())?;
-                (Some(bound), Some(handle))
-            }
+        let (metrics_addr, metrics_thread) = match scrape {
+            Some((l, bound)) => (Some(bound), Some(http::spawn(l, shared.clone()))),
             None => (None, None),
         };
         let accept_shared = shared.clone();
@@ -528,22 +566,21 @@ impl Server {
 
     /// True once a shutdown request has been received.
     pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Relaxed)
+        self.shared.stopping()
     }
 
     /// Block until the daemon stops (shutdown request or [`Server::shutdown`]).
     pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.metrics_thread.take() {
-            let _ = t.join();
-        }
+        self.join();
     }
 
     /// Stop accepting, drain in-flight connections, flush the store.
     pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.request_stop();
+        self.join();
+    }
+
+    fn join(&mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -555,43 +592,126 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.metrics_thread.take() {
-            let _ = t.join();
+        self.shared.request_stop();
+        self.join();
+    }
+}
+
+/// Connections accepted but not yet claimed by a worker, and the
+/// workers waiting for one.
+#[derive(Default)]
+struct Handoff {
+    conns: std::collections::VecDeque<Conn>,
+    idle: usize,
+    closed: bool,
+}
+
+/// The connection workers' shared queue. Workers are kept, not spawned
+/// per connection, and the pool grows only when no worker frees up
+/// within [`GROW_WAIT`]: every thread costs the process an allocator
+/// arena, and with a thread per connection peak RSS grew with the
+/// request rate.
+#[derive(Default)]
+struct Workers {
+    handoff: Mutex<Handoff>,
+    /// Signals workers that a connection was queued (or the queue closed).
+    wake: Condvar,
+    /// Signals the accept loop that a worker went idle.
+    idle: Condvar,
+}
+
+impl Workers {
+    /// Serve `first`, then every connection handed over, until closed.
+    fn run(&self, first: Conn, shared: &Arc<Shared>) {
+        let mut conn = first;
+        loop {
+            handle_conn(conn, shared);
+            let mut h = self.handoff.lock().expect("handoff lock poisoned");
+            h.idle += 1;
+            self.idle.notify_one();
+            conn = loop {
+                if let Some(c) = h.conns.pop_front() {
+                    h.idle -= 1;
+                    break c;
+                }
+                if h.closed {
+                    return;
+                }
+                h = self.wake.wait(h).expect("handoff lock poisoned");
+            };
         }
     }
 }
 
-/// Accept loop: poll the nonblocking listener so the stop flag stays
-/// responsive, hand each connection to its own thread, and on stop join
-/// every connection thread (drain) before flushing the store.
+/// Accept loop: block in `accept` and hand each connection to an idle
+/// worker, or to a new one while fewer than [`MAX_CONNS`] exist; with
+/// every worker busy at the cap, answer `busy`. On stop, join every worker
+/// (drain) before flushing the store.
 fn accept_loop(listener: Listener, shared: Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok(conn) => {
-                let sh = shared.clone();
-                conns.push(std::thread::spawn(move || handle_conn(conn, &sh)));
-                conns.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+    let workers = Arc::new(Workers::default());
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.stopping() {
+            break;
+        }
+        let Ok(conn) = accepted else {
+            std::thread::sleep(ACCEPT_RETRY);
+            continue;
+        };
+        let mut h = workers.handoff.lock().expect("handoff lock poisoned");
+        if h.idle <= h.conns.len() && threads.len() < MAX_CONNS {
+            // A closed-loop client reconnects while the worker of its
+            // previous connection is still reading that one's EOF.
+            h = workers
+                .idle
+                .wait_timeout_while(h, GROW_WAIT, |h| h.idle <= h.conns.len())
+                .expect("handoff lock poisoned")
+                .0;
+        }
+        if h.idle > h.conns.len() {
+            h.conns.push_back(conn);
+            workers.wake.notify_one();
+        } else if threads.len() < MAX_CONNS {
+            drop(h);
+            let (w, sh) = (workers.clone(), shared.clone());
+            threads.push(std::thread::spawn(move || w.run(conn, &sh)));
+        } else {
+            drop(h);
+            refuse_busy(conn, &shared);
         }
     }
-    // Graceful drain: every connection thread observes the stop flag at
-    // its next request boundary (or its read timeout) and exits.
-    for t in conns {
+    // Graceful drain: every connection observes the stop flag at its next
+    // request boundary (or its read timeout) and ends; its worker then
+    // finds the queue closed and exits.
+    workers
+        .handoff
+        .lock()
+        .expect("handoff lock poisoned")
+        .closed = true;
+    workers.wake.notify_all();
+    for t in threads {
         let _ = t.join();
     }
     if let Some(st) = shared.sweep.store() {
         st.flush();
     }
     drop(listener);
+}
+
+/// Answer a connection over the cap with one error line and close it.
+fn refuse_busy(mut conn: Conn, shared: &Shared) {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.error();
+    let mut line = Json::obj()
+        .with("ok", false)
+        .with("error", "busy")
+        .with("max_conns", MAX_CONNS)
+        .dump();
+    line.push('\n');
+    // The line fits an empty socket buffer, so this write does not block;
+    // a client that already left is no concern.
+    let _ = conn.write_all(line.as_bytes());
 }
 
 /// Decrements the active-connection gauge on every exit path.
@@ -656,13 +776,13 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
         shared
             .metrics
             .response(op, served, t0.elapsed().as_micros() as u64);
-        let mut body = response.dump();
+        let mut body = response;
         body.push('\n');
         shared.metrics.add_bytes_written(body.len() as u64);
         if writer.write_all(body.as_bytes()).is_err() || writer.flush().is_err() {
             return;
         }
-        if !resynced || shared.stop.load(Ordering::Relaxed) {
+        if !resynced || shared.stopping() {
             return;
         }
     }
@@ -697,11 +817,11 @@ fn error_json(msg: &str) -> Json {
 }
 
 /// Count and answer a request that did not decode.
-fn reject(shared: &Shared, msg: &str) -> (Json, &'static str, &'static str) {
+fn reject(shared: &Shared, msg: &str) -> (String, &'static str, &'static str) {
     shared.errors.fetch_add(1, Ordering::Relaxed);
     shared.metrics.request("invalid");
     shared.metrics.error();
-    (error_json(msg), "invalid", "error")
+    (error_json(msg).dump(), "invalid", "error")
 }
 
 /// The metric label for a request's op — a closed set regardless of
@@ -718,8 +838,9 @@ fn op_label(req: &Request) -> &'static str {
 }
 
 /// Decode, dispatch, and encode one request; never panics the daemon.
-/// Returns the response plus the `(op, served)` metric labels.
-fn handle_request(shared: &Arc<Shared>, line: &str) -> (Json, &'static str, &'static str) {
+/// Returns the response line (without its newline) plus the
+/// `(op, served)` metric labels.
+fn handle_request(shared: &Arc<Shared>, line: &str) -> (String, &'static str, &'static str) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let req = match Json::parse(line)
         .map_err(|e| format!("bad JSON: {e}"))
@@ -744,7 +865,7 @@ fn handle_request(shared: &Arc<Shared>, line: &str) -> (Json, &'static str, &'st
             .with("served", "computed")
             .with("payload", shared.metrics_text()),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::Relaxed);
+            shared.request_stop();
             Json::obj()
                 .with("ok", true)
                 .with("served", "computed")
@@ -755,37 +876,25 @@ fn handle_request(shared: &Arc<Shared>, line: &str) -> (Json, &'static str, &'st
             match result {
                 Ok(payload) => {
                     shared.count(how);
-                    // Coalesced duplicates share one serialized payload;
-                    // `dump` is canonical, so parse→splice→dump yields
-                    // byte-identical payload sections for all of them.
-                    match Json::parse(&payload) {
-                        Ok(p) => {
-                            let response = Json::obj()
-                                .with("ok", true)
-                                .with("served", how.name())
-                                .with("payload", p);
-                            return (response, op, how.name());
-                        }
-                        Err(e) => {
-                            shared.errors.fetch_add(1, Ordering::Relaxed);
-                            shared.metrics.error();
-                            return (
-                                error_json(&format!("internal: cached payload unparseable: {e}")),
-                                op,
-                                "error",
-                            );
-                        }
-                    }
+                    // The payload is already canonical JSON (`dump`
+                    // output), so it is spliced in as text: coalesced
+                    // duplicates share its bytes, and a response costs no
+                    // parse of it.
+                    let response = format!(
+                        "{{\"ok\":true,\"served\":\"{}\",\"payload\":{payload}}}",
+                        how.name()
+                    );
+                    return (response, op, how.name());
                 }
                 Err(e) => {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.error();
-                    return (error_json(&e), op, "error");
+                    return (error_json(&e).dump(), op, "error");
                 }
             }
         }
     };
-    (response, op, "computed")
+    (response.dump(), op, "computed")
 }
 
 #[cfg(test)]

@@ -258,6 +258,11 @@ impl ServeMetrics {
         for (phase, hits, misses) in [
             ("profile", memo.profile_hits, memo.profile_misses),
             ("compile", memo.compile_hits, memo.compile_misses),
+            (
+                "dep_profile",
+                memo.dep_profile_hits,
+                memo.dep_profile_misses,
+            ),
             ("baseline_sim", memo.baseline_hits, memo.baseline_misses),
             ("spt_sim", memo.spt_hits, memo.spt_misses),
         ] {

@@ -237,6 +237,9 @@ fn concurrent_duplicate_requests_return_identical_bytes() {
         let mut computed = 0;
         for r in &replies {
             let doc = Json::parse(r.trim()).unwrap();
+            // The spliced payload keeps the line canonical: re-encoding
+            // the parsed response reproduces it byte for byte.
+            assert_eq!(doc.dump(), r.trim(), "{}: non-canonical line", req.name);
             assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
             let served = doc.get("served").and_then(Json::as_str).unwrap();
             assert!(
@@ -385,4 +388,47 @@ fn unix_socket_transport_works() {
     assert_eq!(pong.payload.as_str(), Some("pong"));
     server.shutdown();
     assert!(!sock.exists(), "socket file removed on shutdown");
+}
+
+#[test]
+fn connection_flood_beyond_the_cap_is_refused_busy() {
+    let server = start(None);
+    let addr = server.addr().to_string();
+    // Hold the cap's worth of live connections; a ping on each proves
+    // the daemon accepted it and is serving it.
+    let mut held = Vec::new();
+    for _ in 0..spt_serve::MAX_CONNS {
+        let (mut s, mut r) = connect(&addr);
+        let pong = exchange(&mut s, &mut r, b"{\"op\":\"ping\"}");
+        assert_eq!(pong.get("payload").and_then(Json::as_str), Some("pong"));
+        held.push((s, r));
+    }
+    // Each connection beyond the cap gets one `busy` line, then EOF.
+    for _ in 0..4 {
+        let (_s, mut r) = connect(&addr);
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap();
+        assert_refused(&Json::parse(line.trim()).unwrap(), "busy");
+        line.clear();
+        assert_eq!(
+            r.read_line(&mut line).unwrap(),
+            0,
+            "refused connection closed"
+        );
+    }
+    // Released connections free their slots; until their threads have
+    // exited a new connection may still be refused, but only as busy.
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (mut s, mut r) = connect(&addr);
+        let reply = exchange(&mut s, &mut r, b"{\"op\":\"ping\"}");
+        if reply.get("payload").and_then(Json::as_str) == Some("pong") {
+            break;
+        }
+        assert_refused(&reply, "busy");
+        assert!(Instant::now() < deadline, "slots never freed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown();
 }

@@ -47,7 +47,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// version read as misses.
 ///
 /// v2: report payloads gained `superstep_hits` / `superstep_misses`.
-pub const STORE_SCHEMA: u32 = 2;
+/// v3: the `cache` object of stored `response` payloads gained the
+/// `dep_profile` hit/miss pair.
+pub const STORE_SCHEMA: u32 = 3;
 
 /// Largest entry file [`DiskStore::load`] reads; a bigger file is a reject
 /// and is never read into memory. A store warmed by every experiment at

@@ -28,11 +28,12 @@
 use crate::json::{Json, ToJson};
 use crate::solution::{original_annotations, spt_annotations, EvalOutcome, RunConfig};
 use crate::store::{self, DiskStore};
-use spt_compiler::{compile_with_profile, CompileOptions, CompileResult};
+use spt_compiler::{compile_candidates, select_candidates, CompileOptions, CompileResult};
 use spt_mach::MachineConfig;
-use spt_profile::{profile_program, ProgramProfile};
+use spt_profile::{profile_loops, profile_program, DepProfile, ProgramProfile};
 use spt_sim::{simulate_baseline, BaselineReport, LoopAnnotations, SptReport, SptSim};
 use spt_sir::Program;
+use spt_trace::NullSink;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -115,7 +116,10 @@ impl PhaseStamp {
 pub trait PhaseObserver: Send + Sync {
     /// One memoized phase lookup finished. `phase` is one of
     /// `"profile"`, `"compile"`, `"baseline_sim"`, `"spt_sim"` (the
-    /// `MemoStats` JSON keys).
+    /// `MemoStats` JSON keys). The dependence-profile memo is not a phase
+    /// here: it is looked up only inside a compile miss, and its time is
+    /// part of that compile's stamp; its counters are
+    /// [`MemoStats::dep_profile_hits`]/[`MemoStats::dep_profile_misses`].
     fn phase_done(&self, phase: &'static str, stamp: PhaseStamp);
 
     /// Superstep memo counters for one evaluated work item (zeros when
@@ -209,12 +213,20 @@ impl<T> Shard<T> {
 }
 
 /// Snapshot of the memo cache's hit/miss counters, per phase.
+///
+/// The `dep_profile` pair counts the dependence-profile memo, which only
+/// compile misses consult: every core width of one program selects the
+/// same candidate loops, so its compiles share one dependence profile.
+/// [`MemoStats::hits`] and [`MemoStats::misses`] sum the four pipeline
+/// phases only, so a nested lookup is not counted twice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     pub profile_hits: u64,
     pub profile_misses: u64,
     pub compile_hits: u64,
     pub compile_misses: u64,
+    pub dep_profile_hits: u64,
+    pub dep_profile_misses: u64,
     pub baseline_hits: u64,
     pub baseline_misses: u64,
     pub spt_hits: u64,
@@ -238,6 +250,8 @@ impl MemoStats {
             profile_misses: self.profile_misses - before.profile_misses,
             compile_hits: self.compile_hits - before.compile_hits,
             compile_misses: self.compile_misses - before.compile_misses,
+            dep_profile_hits: self.dep_profile_hits - before.dep_profile_hits,
+            dep_profile_misses: self.dep_profile_misses - before.dep_profile_misses,
             baseline_hits: self.baseline_hits - before.baseline_hits,
             baseline_misses: self.baseline_misses - before.baseline_misses,
             spt_hits: self.spt_hits - before.spt_hits,
@@ -255,6 +269,7 @@ impl MemoStats {
         };
         let (profile_hits, profile_misses) = pair("profile")?;
         let (compile_hits, compile_misses) = pair("compile")?;
+        let (dep_profile_hits, dep_profile_misses) = pair("dep_profile")?;
         let (baseline_hits, baseline_misses) = pair("baseline_sim")?;
         let (spt_hits, spt_misses) = pair("spt_sim")?;
         Some(MemoStats {
@@ -262,6 +277,8 @@ impl MemoStats {
             profile_misses,
             compile_hits,
             compile_misses,
+            dep_profile_hits,
+            dep_profile_misses,
             baseline_hits,
             baseline_misses,
             spt_hits,
@@ -276,6 +293,10 @@ impl ToJson for MemoStats {
         Json::obj()
             .with("profile", pair(self.profile_hits, self.profile_misses))
             .with("compile", pair(self.compile_hits, self.compile_misses))
+            .with(
+                "dep_profile",
+                pair(self.dep_profile_hits, self.dep_profile_misses),
+            )
             .with(
                 "baseline_sim",
                 pair(self.baseline_hits, self.baseline_misses),
@@ -554,11 +575,13 @@ impl ToJson for RunReport {
 // ---------------------------------------------------------------------------
 
 /// Parallel experiment engine: a worker pool plus the process-wide memo
-/// cache for the four pipeline phases.
+/// cache for the four pipeline phases (and the dependence profiles that
+/// compile misses share).
 pub struct Sweep {
     workers: usize,
     profiles: Shard<ProgramProfile>,
     compiles: Shard<CompileResult>,
+    dep_profiles: Shard<DepProfile>,
     baselines: Shard<BaselineReport>,
     spts: Shard<SptReport>,
     /// Optional on-disk extension of the simulation-phase memo keys: when
@@ -586,6 +609,7 @@ impl Sweep {
             workers: workers.max(1),
             profiles: Shard::default(),
             compiles: Shard::default(),
+            dep_profiles: Shard::default(),
             baselines: Shard::default(),
             spts: Shard::default(),
             store: None,
@@ -643,6 +667,8 @@ impl Sweep {
             profile_misses: ld(&self.profiles.misses),
             compile_hits: ld(&self.compiles.hits),
             compile_misses: ld(&self.compiles.misses),
+            dep_profile_hits: ld(&self.dep_profiles.hits),
+            dep_profile_misses: ld(&self.dep_profiles.misses),
             baseline_hits: ld(&self.baselines.hits),
             baseline_misses: ld(&self.baselines.misses),
             spt_hits: ld(&self.spts.hits),
@@ -698,17 +724,35 @@ impl Sweep {
     /// Compile a program (memoized on program content + options). The
     /// profiling pass inside compilation goes through the profile cache,
     /// so e.g. Figure 6 and a suite evaluation share one profile per
-    /// benchmark. Returns `(result, compile stamp, profile stamp)`.
+    /// benchmark. A compile miss resolves its candidates' dependence
+    /// profile through its own memo, keyed by program, the ordered
+    /// candidate list and fuel, so option sets that select the same
+    /// candidates (every core width) profile dependences once. Returns
+    /// `(result, compile stamp, profile stamp)`.
     pub fn compile(
         &self,
         prog: &Program,
         opts: &CompileOptions,
     ) -> (Arc<CompileResult>, PhaseStamp, PhaseStamp) {
         let (profile, pstamp) = self.profile(prog, opts.profile_fuel);
-        let key = Key(program_fingerprint(prog), debug_fingerprint(opts), 0, 0);
-        let (res, cstamp) = self
-            .compiles
-            .get_or_compute(key, || compile_with_profile(prog, opts, (*profile).clone()));
+        let fp = program_fingerprint(prog);
+        let key = Key(fp, debug_fingerprint(opts), 0, 0);
+        let (res, cstamp) = self.compiles.get_or_compute(key, || {
+            let candidates = select_candidates(prog, opts, &profile, &mut NullSink);
+            let keys = candidates.keys();
+            let dkey = Key(fp, debug_fingerprint(&keys), opts.profile_fuel, 0);
+            let (deps, _) = self
+                .dep_profiles
+                .get_or_compute(dkey, || profile_loops(prog, &keys, opts.profile_fuel));
+            compile_candidates(
+                prog,
+                opts,
+                (*profile).clone(),
+                candidates,
+                &deps,
+                &mut NullSink,
+            )
+        });
         self.observe_phase("compile", cstamp);
         (res, cstamp, pstamp)
     }
@@ -946,7 +990,12 @@ mod tests {
                 superstep_misses: 1,
                 ..Default::default()
             }],
-            cache: MemoStats::default(),
+            cache: MemoStats {
+                compile_misses: 30,
+                dep_profile_hits: 20,
+                dep_profile_misses: 10,
+                ..Default::default()
+            },
             histograms: None,
         };
         let s = rep.to_json().dump();
@@ -961,6 +1010,8 @@ mod tests {
             "\"superstep_hit_rate\":0.75",
             "\"cache\":",
             "\"profile\":{\"hits\":0,\"misses\":0}",
+            // The dependence-profile memo, consulted by compile misses.
+            "\"dep_profile\":{\"hits\":20,\"misses\":10}",
             "\"records\":",
             "\"speedup\":1.25",
             "\"superstep_hits\":3",
@@ -969,6 +1020,12 @@ mod tests {
         ] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
+        // The nested memo stays out of the phase totals.
+        assert_eq!((rep.cache.hits(), rep.cache.misses()), (0, 30));
+        assert_eq!(
+            RunReport::from_json(&rep.to_json()).unwrap().cache,
+            rep.cache
+        );
         // The timing-free projection diffed by CI must not grow
         // environment-sensitive keys.
         assert!(!rep.deterministic_json().dump().contains("superstep"));

@@ -102,7 +102,8 @@ fn fig_scale_test_sweep_pins_cycles_and_memo_split() {
     // number: a change that moves it changed what the simulators compute.
     // Profiles and baselines are shared across core widths (one miss per
     // benchmark, a hit for each other width); compiles and SPT runs are
-    // per width.
+    // per width, and the compiles of one benchmark share one dependence
+    // profile.
     let names: Vec<&str> = spt::workloads::suite(Scale::Test)
         .iter()
         .map(|w| w.name)
@@ -114,6 +115,7 @@ fn fig_scale_test_sweep_pins_cycles_and_memo_split() {
     let c = report.cache;
     assert_eq!((c.profile_hits, c.profile_misses), (20, 10));
     assert_eq!((c.compile_hits, c.compile_misses), (0, 30));
+    assert_eq!((c.dep_profile_hits, c.dep_profile_misses), (20, 10));
     assert_eq!((c.baseline_hits, c.baseline_misses), (20, 10));
     assert_eq!((c.spt_hits, c.spt_misses), (0, 30));
 }
